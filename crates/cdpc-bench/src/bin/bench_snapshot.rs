@@ -3,8 +3,7 @@
 //! default scale under the CDPC policy, plus microbenchmarks covering each
 //! hot path: the miss-storm bound on the memory system, the streaming
 //! trace generator (`trace_stream`), the L1-hit fast path (`l1_hit_1p`),
-//! and end-to-end run-loop measurements (`run_loop_tomcatv_8p`, plus
-//! `_par2`/`_par4` variants through the epoch-parallel engine).
+//! and end-to-end run-loop measurements (`run_loop_tomcatv_8p`).
 //!
 //! ```text
 //! cargo run --release -p cdpc-bench --bin bench_snapshot             # print
@@ -187,15 +186,10 @@ fn trace_stream() -> (f64, u64) {
 /// End-to-end run-loop throughput: a full tomcatv simulation at the
 /// snapshot's scale on 8 CPUs under CDPC, reported as simulated refs per
 /// wall second. This is the number the batching scheduler and the
-/// micro-translation-cache exist to move. `sim_threads > 1` sends the
-/// same run through the epoch-parallel engine (bit-identical reports;
-/// only the wall clock may differ), so the `_par2`/`_par4` entries track
-/// the engine's overhead or speedup against the serial baseline on
-/// whatever host regenerated the snapshot.
-fn run_loop_tomcatv(setup: &Setup, sim_threads: usize) -> (f64, u64) {
+/// micro-translation-cache exist to move.
+fn run_loop_tomcatv(setup: &Setup) -> (f64, u64) {
     let bench = cdpc_workloads::by_name("tomcatv").expect("tomcatv exists");
-    let mut job = setup.job(&bench, Preset::Base1MbDm, 8, PolicyKind::Cdpc, false, true);
-    job.cfg.sim_threads = sim_threads;
+    let job = setup.job(&bench, Preset::Base1MbDm, 8, PolicyKind::Cdpc, false, true);
     let refs = run(&job.compiled, &job.cfg).simulated_refs;
     let timing = time_iters(1, 3, || {
         std::hint::black_box(run(&job.compiled, &job.cfg));
@@ -299,15 +293,7 @@ fn run_microbench(setup: &Setup) -> Vec<(String, f64)> {
     }
     entries.push(best_of_3("l1_hit_1p", l1_hit_storm));
     entries.push(best_of_3("trace_stream", trace_stream));
-    entries.push(best_of_3("run_loop_tomcatv_8p", || {
-        run_loop_tomcatv(setup, 1)
-    }));
-    entries.push(best_of_3("run_loop_tomcatv_8p_par2", || {
-        run_loop_tomcatv(setup, 2)
-    }));
-    entries.push(best_of_3("run_loop_tomcatv_8p_par4", || {
-        run_loop_tomcatv(setup, 4)
-    }));
+    entries.push(best_of_3("run_loop_tomcatv_8p", || run_loop_tomcatv(setup)));
     entries.push(best_of_3("run_loop_tomcatv_8p_attrib", || {
         run_loop_tomcatv_attrib(setup)
     }));
@@ -400,18 +386,9 @@ fn main() {
                 assert!(v >= 1, "--threads must be at least 1");
                 setup.threads = v;
             }
-            "--sim-threads" => {
-                i += 1;
-                let v = args
-                    .get(i)
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .unwrap_or_else(|| panic!("--sim-threads needs a thread count"));
-                assert!(v >= 1, "--sim-threads must be at least 1");
-                setup.sim_threads = v;
-            }
             other => panic!(
                 "unknown argument `{other}` (supported: --write, --quick, --check, \
-                 --threads N, --sim-threads N)"
+                 --threads N)"
             ),
         }
         i += 1;

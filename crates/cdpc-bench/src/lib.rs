@@ -41,8 +41,8 @@ use cdpc_compiler::ir::Program;
 use cdpc_compiler::{compile, CompileOptions, CompiledProgram};
 use cdpc_machine::{
     attribution_probe, attribution_to_html, attribution_to_json, render_attribution_top,
-    report_to_json, run_observed, run_sweep_memo, sweep_map, thread_budget, PolicyKind,
-    ResultCache, RunConfig, RunReport, SchedulerKind, SweepJob,
+    report_to_json, run_observed, run_sweep_memo, sweep_map, PolicyKind, ResultCache, RunConfig,
+    RunReport, SchedulerKind, SweepJob,
 };
 use cdpc_memsim::{CacheConfig, MemConfig};
 use cdpc_obs::{AttributionProbe, IntervalSeries, JsonValue, TraceProbe};
@@ -79,9 +79,9 @@ impl Preset {
 pub const DEFAULT_SAMPLE_INTERVAL: u64 = 10_000;
 
 const FLAG_USAGE: &str = "supported flags: --scale N, --full, --threads N (0 = auto), \
-                          --sim-threads N (0 = auto), --cache <dir>, --no-cache, \
-                          --lint, --sanitize, --predict <path>, --sarif <path>, \
-                          --scheduler batch|heap, --json <path>, --trace <path>, \
+                          --cache <dir>, --no-cache, --lint, --sanitize, \
+                          --predict <path>, --sarif <path>, --scheduler batch|heap, \
+                          --json <path>, --trace <path>, \
                           --series <path>, --sample-interval <cycles>, --attrib <path>, --top";
 
 /// Observability outputs requested on the command line, shared by every
@@ -230,13 +230,6 @@ pub struct Setup {
     /// defaults to the host's available parallelism). Reports are
     /// bit-identical for every value.
     pub threads: usize,
-    /// Intra-run engine threads (`--sim-threads N`; default 1 = the
-    /// serial scheduler). Values above 1 run each simulation through the
-    /// epoch-parallel engine, which is bit-identical to the serial path.
-    /// Composes with `threads`: [`run_jobs`](Self::run_jobs) divides the
-    /// job fan-out by `sim_threads` ([`thread_budget`]) so the two levels
-    /// never oversubscribe the host.
-    pub sim_threads: usize,
     /// Observability outputs for [`run_bench`](Self::run_bench).
     pub obs: ObsOptions,
     /// `--lint`: run the `cdpc-analyze` static lints on every program
@@ -275,7 +268,6 @@ impl PartialEq for Setup {
         // The compilation memo is a derived cache, not configuration.
         self.scale == other.scale
             && self.threads == other.threads
-            && self.sim_threads == other.sim_threads
             && self.obs == other.obs
             && self.lint == other.lint
             && self.sanitize == other.sanitize
@@ -300,7 +292,6 @@ impl Setup {
         Setup {
             scale,
             threads: cdpc_machine::default_threads(),
-            sim_threads: 1,
             obs: ObsOptions::default(),
             lint: false,
             sanitize: false,
@@ -316,13 +307,12 @@ impl Setup {
     /// [`ObsOptions`] flags) from command-line arguments; defaults to
     /// scale 8.
     ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed or unknown arguments.
+    /// Malformed or unknown arguments print the error and the flag usage
+    /// to stderr and exit with status 2.
     pub fn from_args() -> Self {
         let (setup, positional) = Self::from_args_with_positionals();
         if let Some(first) = positional.first() {
-            panic!("unknown argument `{first}` ({FLAG_USAGE})");
+            usage_error(&format!("unknown argument `{first}`"));
         }
         setup
     }
@@ -331,25 +321,31 @@ impl Setup {
     /// arguments for binaries with positional parameters (e.g. `inspect`).
     pub fn from_args_with_positionals() -> (Self, Vec<String>) {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut setup = Setup {
-            // Ambient cache root, overridable by --cache / --no-cache below.
+        let setup = Setup {
+            // Ambient cache root, overridable by --cache / --no-cache.
             cache: std::env::var_os("CDPC_CACHE_DIR").map(PathBuf::from),
             ..Setup::default()
         };
+        Self::parse_flags(setup, &args).unwrap_or_else(|e| usage_error(&e))
+    }
+
+    /// Applies the flags in `args` on top of `setup` and collects the
+    /// non-flag arguments. The error names the offending flag or value.
+    fn parse_flags(mut setup: Setup, args: &[String]) -> Result<(Self, Vec<String>), String> {
         let mut positional = Vec::new();
         let mut i = 0;
-        let value = |args: &[String], i: usize, flag: &str| -> String {
+        let value = |i: usize, flag: &str| -> Result<String, String> {
             args.get(i + 1)
-                .unwrap_or_else(|| panic!("{flag} needs a value ({FLAG_USAGE})"))
-                .clone()
+                .cloned()
+                .ok_or_else(|| format!("{flag} needs a value"))
         };
         while i < args.len() {
             match args[i].as_str() {
                 "--scale" => {
-                    let v = value(&args, i, "--scale")
-                        .parse::<u64>()
-                        .unwrap_or_else(|_| panic!("--scale needs a power-of-two value"));
-                    assert!(v.is_power_of_two(), "--scale must be a power of two");
+                    let v: u64 = number(&value(i, "--scale")?, "--scale")?;
+                    if !v.is_power_of_two() {
+                        return Err(format!("--scale must be a power of two, got {v}"));
+                    }
                     setup.scale = v;
                     i += 2;
                 }
@@ -358,35 +354,15 @@ impl Setup {
                     i += 1;
                 }
                 "--threads" => {
-                    let v = value(&args, i, "--threads")
-                        .parse::<usize>()
-                        .unwrap_or_else(|_| panic!("--threads needs a thread count (0 = auto)"));
                     // 0 = auto-detect the host's available parallelism.
-                    setup.threads = if v == 0 {
-                        cdpc_machine::default_threads()
-                    } else {
-                        v
-                    };
-                    i += 2;
-                }
-                "--sim-threads" => {
-                    let v = value(&args, i, "--sim-threads")
-                        .parse::<usize>()
-                        .unwrap_or_else(|_| {
-                            panic!("--sim-threads needs a thread count (0 = auto)")
-                        });
-                    // 0 = auto-detect; thread_budget() still divides the
-                    // job fan-out through, so the two levels never
-                    // oversubscribe the host.
-                    setup.sim_threads = if v == 0 {
-                        cdpc_machine::default_threads()
-                    } else {
-                        v
+                    setup.threads = match number(&value(i, "--threads")?, "--threads")? {
+                        0 => cdpc_machine::default_threads(),
+                        v => v,
                     };
                     i += 2;
                 }
                 "--cache" => {
-                    setup.cache = Some(PathBuf::from(value(&args, i, "--cache")));
+                    setup.cache = Some(PathBuf::from(value(i, "--cache")?));
                     i += 2;
                 }
                 "--no-cache" => {
@@ -402,35 +378,39 @@ impl Setup {
                     i += 1;
                 }
                 "--predict" => {
-                    setup.predict = Some(PathBuf::from(value(&args, i, "--predict")));
+                    setup.predict = Some(PathBuf::from(value(i, "--predict")?));
                     i += 2;
                 }
                 "--sarif" => {
-                    setup.sarif = Some(PathBuf::from(value(&args, i, "--sarif")));
+                    setup.sarif = Some(PathBuf::from(value(i, "--sarif")?));
                     i += 2;
                 }
                 "--scheduler" => {
-                    setup.scheduler = match value(&args, i, "--scheduler").as_str() {
+                    setup.scheduler = match value(i, "--scheduler")?.as_str() {
                         "batch" => SchedulerKind::MinClockBatch,
                         "heap" => SchedulerKind::Heap,
-                        other => panic!("--scheduler must be `batch` or `heap`, got `{other}`"),
+                        other => {
+                            return Err(format!(
+                                "--scheduler must be `batch` or `heap`, got `{other}`"
+                            ))
+                        }
                     };
                     i += 2;
                 }
                 "--json" => {
-                    setup.obs.json = Some(PathBuf::from(value(&args, i, "--json")));
+                    setup.obs.json = Some(PathBuf::from(value(i, "--json")?));
                     i += 2;
                 }
                 "--trace" => {
-                    setup.obs.trace = Some(PathBuf::from(value(&args, i, "--trace")));
+                    setup.obs.trace = Some(PathBuf::from(value(i, "--trace")?));
                     i += 2;
                 }
                 "--series" => {
-                    setup.obs.series = Some(PathBuf::from(value(&args, i, "--series")));
+                    setup.obs.series = Some(PathBuf::from(value(i, "--series")?));
                     i += 2;
                 }
                 "--attrib" => {
-                    setup.obs.attrib = Some(PathBuf::from(value(&args, i, "--attrib")));
+                    setup.obs.attrib = Some(PathBuf::from(value(i, "--attrib")?));
                     i += 2;
                 }
                 "--top" => {
@@ -438,24 +418,23 @@ impl Setup {
                     i += 1;
                 }
                 "--sample-interval" => {
-                    let v = value(&args, i, "--sample-interval")
-                        .parse::<u64>()
-                        .unwrap_or_else(|_| panic!("--sample-interval needs a cycle count"));
-                    assert!(v > 0, "--sample-interval must be positive");
+                    let v: u64 = number(&value(i, "--sample-interval")?, "--sample-interval")?;
+                    if v == 0 {
+                        return Err("--sample-interval must be positive".to_string());
+                    }
                     setup.obs.sample_interval = Some(v);
                     i += 2;
                 }
+                other if other.starts_with("--") => {
+                    return Err(format!("unknown flag `{other}`"));
+                }
                 other => {
-                    assert!(
-                        !other.starts_with("--"),
-                        "unknown flag `{other}` ({FLAG_USAGE})"
-                    );
                     positional.push(other.to_string());
                     i += 1;
                 }
             }
         }
-        (setup, positional)
+        Ok((setup, positional))
     }
 
     /// The workload scale.
@@ -551,7 +530,6 @@ impl Setup {
         let mut cfg = RunConfig::new(self.scaled_mem(preset, cpus), policy);
         cfg.validate_coherence = self.sanitize;
         cfg.scheduler = self.scheduler;
-        cfg.sim_threads = self.sim_threads;
         SweepJob::new(compiled, cfg)
     }
 
@@ -560,9 +538,8 @@ impl Setup {
     ///
     /// With no observability outputs this is
     /// [`run_sweep_memo`](cdpc_machine::run_sweep_memo): pure simulation
-    /// fan-out with content-addressed memoization (in-sweep dedup,
-    /// warm-checkpoint forking, and — when [`Setup::cache`] is set — the
-    /// persistent result cache), bit-identical to the unmemoized sweep for
+    /// fan-out with content-addressed memoization (in-sweep dedup and —
+    /// when [`Setup::cache`] is set — the persistent result cache), bit-identical to the unmemoized sweep for
     /// any thread count. With a cache attached, the
     /// [`SweepCacheStats`](cdpc_obs::SweepCacheStats) summary is printed
     /// to stderr (stdout stays byte-identical for the golden diffs).
@@ -578,17 +555,14 @@ impl Setup {
     /// (composed with the trace probe when both are requested), so a MESI
     /// invariant violation aborts the experiment at the offending event.
     pub fn run_jobs(&self, jobs: &[SweepJob]) -> Vec<RunReport> {
-        // Combined cap: each engine-backed run brings `sim_threads` host
-        // threads of its own, so the job fan-out shrinks to compensate.
-        let threads = thread_budget(self.threads, self.sim_threads);
         if !self.obs.probes_needed() && !self.sanitize {
             let cache = self.cache.as_deref().map(ResultCache::new);
-            let (reports, stats) = run_sweep_memo(jobs, threads, cache.as_ref());
+            let (reports, stats) = run_sweep_memo(jobs, self.threads, cache.as_ref());
             if cache.is_some() {
                 eprintln!("[cdpc-cache] {}", stats.summary_line());
             }
             // `--json` is report-rendered, not probe-observed, so cached
-            // and forked runs export exactly like fresh ones.
+            // runs export exactly like fresh ones.
             if self.obs.active() {
                 for report in &reports {
                     self.obs.record(report, None, None, None);
@@ -600,7 +574,7 @@ impl Setup {
         let want_trace = self.obs.trace.is_some();
         let want_attrib = self.obs.attribution();
         let sanitize = self.sanitize;
-        let results = sweep_map(jobs, threads, |job| {
+        let results = sweep_map(jobs, self.threads, |job| {
             let cpus = job.cfg.mem.num_cpus;
             // Compose the requested sinks as a tuple of `Option<Probe>`s:
             // `None` slots are no-ops the optimizer removes, so one code
@@ -721,6 +695,20 @@ fn scale_l1(l1: CacheConfig, f: usize) -> CacheConfig {
     )
 }
 
+/// Parses a flag's numeric value.
+fn number<T: std::str::FromStr>(v: &str, flag: &str) -> Result<T, String> {
+    v.parse()
+        .map_err(|_| format!("{flag} needs a number, got `{v}`"))
+}
+
+/// Prints a command-line error and the flag usage to stderr, then exits
+/// with status 2 (the usage-error convention the positional-argument
+/// binaries follow too).
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}\n{FLAG_USAGE}");
+    std::process::exit(2)
+}
+
 /// Text-table helpers shared by the experiment binaries.
 pub mod table {
     /// Prints a header row followed by a rule.
@@ -780,6 +768,25 @@ mod tests {
         let s = Setup::with_scale(1024);
         let m = s.scaled_mem(Preset::Base1MbDm, 2);
         assert!(m.l1d.size_bytes() >= m.l1d.line_bytes() * m.l1d.associativity() * 8);
+    }
+
+    #[test]
+    fn bad_flags_are_errors_not_panics() {
+        let parse = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            Setup::parse_flags(Setup::with_scale(8), &args)
+        };
+        for bad in [
+            &["--sim-threads", "2"][..],
+            &["--scale", "3"],
+            &["--threads", "x"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
+        let (setup, positional) =
+            parse(&["--scale", "64", "--threads", "2", "tomcatv"]).expect("valid flags parse");
+        assert_eq!((setup.scale, setup.threads), (64, 2));
+        assert_eq!(positional, ["tomcatv"]);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! policies.
 //!
 //! The same job list is executed four ways — plain [`run_sweep`] (the
-//! audited baseline), [`run_sweep_memo`] without a cache (in-sweep dedup +
-//! checkpoint forking), a cold persistent cache (simulate + store), and a
-//! warm persistent cache (every job answered from disk) — and every way
+//! audited baseline), [`run_sweep_memo`] without a cache (in-sweep dedup),
+//! a cold persistent cache (simulate + store), and a warm persistent cache
+//! (every job answered from disk) — and every way
 //! must produce *exactly* the same bytes in all three rendered artifacts:
 //! the structured [`RunReport`]s, their JSON exports, and a CSV table of
 //! every report field the figures consume. Not "close": identical.
@@ -19,9 +19,9 @@ use cdpc_machine::{
 const SCALE: u64 = 64;
 const THREADS: usize = 4;
 
-/// Suite × CPU counts × policies, plus renamed-content twins that force
-/// the warm-checkpoint fork path, plus the remaining policy families on
-/// one workload.
+/// Suite × CPU counts × policies, plus renamed-content twins (jobs that
+/// differ from another only in `compiled.name`), plus the remaining
+/// policy families on one workload.
 fn suite_jobs(setup: &Setup) -> Vec<SweepJob> {
     let mut jobs = Vec::new();
     for bench in cdpc_workloads::all() {
@@ -31,9 +31,9 @@ fn suite_jobs(setup: &Setup) -> Vec<SweepJob> {
             }
         }
     }
-    // Same content, different report name: these share a warm key with
-    // their originals and must fork from one checkpoint.
-    for (i, job) in suite_jobs_fork_seeds(&jobs) {
+    // Same content, different report name: a different key, so each twin
+    // simulates on its own and its report carries its own name.
+    for (i, job) in twin_seeds(&jobs) {
         let mut renamed = (*jobs[i].compiled).clone();
         renamed.name = format!("{}-renamed", renamed.name);
         jobs.push(SweepJob::new(renamed, job));
@@ -52,7 +52,7 @@ fn suite_jobs(setup: &Setup) -> Vec<SweepJob> {
 
 /// Picks two jobs to twin under a new name (first and last of the matrix,
 /// so both CPU counts are covered), returning `(index, cfg)` pairs.
-fn suite_jobs_fork_seeds(jobs: &[SweepJob]) -> Vec<(usize, cdpc_machine::RunConfig)> {
+fn twin_seeds(jobs: &[SweepJob]) -> Vec<(usize, cdpc_machine::RunConfig)> {
     vec![
         (0, jobs[0].cfg.clone()),
         (jobs.len() - 1, jobs[jobs.len() - 1].cfg.clone()),
@@ -127,10 +127,15 @@ fn memoized_sweeps_are_byte_identical_to_fresh_serial_runs() {
     let baseline = run_sweep(&jobs, THREADS);
     let (base_text, base_json, base_csv) = artifacts(&baseline);
 
-    // Dedup + checkpoint forking, no persistent cache.
-    let (forked, forked_stats) = run_sweep_memo(&jobs, THREADS, None);
-    assert!(forked_stats.forked >= 2, "the renamed twins must fork");
-    assert_eq!(baseline, forked, "forked sweep reports diverge");
+    // Dedup only, no persistent cache. No two jobs share a key — a
+    // renamed twin included — so every job simulates under its own name.
+    let (memo, memo_stats) = run_sweep_memo(&jobs, THREADS, None);
+    assert_eq!(memo_stats.deduped, 0, "no job duplicates another");
+    assert_eq!(memo_stats.bypassed, jobs.len() as u64);
+    assert_eq!(baseline, memo, "memoized sweep reports diverge");
+    for (job, report) in jobs.iter().zip(&memo) {
+        assert_eq!(report.name, job.compiled.name);
+    }
 
     // Cold cache: simulate everything, store everything.
     let (cold, cold_stats) = run_sweep_memo(&jobs, THREADS, Some(&cache));
@@ -145,7 +150,7 @@ fn memoized_sweeps_are_byte_identical_to_fresh_serial_runs() {
     assert_eq!(baseline, warm, "warm cached sweep reports diverge");
 
     // Byte-identity of every rendered artifact, for every path.
-    for (label, reports) in [("forked", &forked), ("cold", &cold), ("warm", &warm)] {
+    for (label, reports) in [("memo", &memo), ("cold", &cold), ("warm", &warm)] {
         let (text, json, csv) = artifacts(reports);
         assert_eq!(base_text, text, "{label}: rendered report text diverges");
         assert_eq!(base_json, json, "{label}: JSON export diverges");
@@ -156,7 +161,7 @@ fn memoized_sweeps_are_byte_identical_to_fresh_serial_runs() {
 }
 
 /// The memoized path must also be independent of the worker-thread count,
-/// like the plain sweep (the checkpoint groups repartition the work).
+/// like the plain sweep.
 #[test]
 fn memoized_sweep_is_thread_count_invariant() {
     let setup = Setup::with_scale(SCALE);

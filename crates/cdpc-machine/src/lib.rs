@@ -35,7 +35,6 @@
 //! # Ok::<(), cdpc_compiler::CompileError>(())
 //! ```
 
-pub(crate) mod engine;
 pub mod export;
 pub mod format;
 pub mod htmlreport;
@@ -51,8 +50,7 @@ pub use htmlreport::attribution_to_html;
 pub use memo::{run_key, ResultCache, RunKey, CACHE_FORMAT_VERSION};
 pub use report::{geometric_mean, BusReport, OverheadBreakdown, RunReport, StallBreakdown};
 pub use run::{
-    attribution_probe, run, run_attributed, run_from_checkpoint, run_observed, warm_checkpoint,
-    PolicyKind, RunConfig, SchedulerKind, WarmCheckpoint,
+    attribution_probe, run, run_attributed, run_observed, PolicyKind, RunConfig, SchedulerKind,
 };
-pub use sweep::{default_threads, run_sweep, run_sweep_memo, sweep_map, thread_budget, SweepJob};
+pub use sweep::{default_threads, run_sweep, run_sweep_memo, sweep_map, SweepJob};
 pub use validate::{diff_prediction, PredictionDiff};

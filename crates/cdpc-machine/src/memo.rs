@@ -1,15 +1,15 @@
 //! Content-addressed memoization of simulation runs.
 //!
 //! A simulation is a pure function: `(CompiledProgram, RunConfig)` fully
-//! determines the [`RunReport`], bit for bit (the determinism and engine
-//! differential suites prove this across schedulers, thread counts, and
-//! probe families). That purity makes runs memoizable at two levels:
+//! determines the [`RunReport`], bit for bit (the determinism suite
+//! proves this across schedulers, thread counts, and probe families).
+//! That purity makes runs memoizable at two levels:
 //!
 //! 1. **In-process** — [`run_key`] canonicalizes the config (execution
 //!    strategy knobs that provably do not change results are normalized
 //!    away) and fingerprints it together with the program, so the sweep
-//!    executor can deduplicate identical jobs and group jobs that share a
-//!    warm-up prefix (see `sweep::run_sweep_memo`).
+//!    executor can deduplicate identical jobs (see
+//!    `sweep::run_sweep_memo`).
 //! 2. **Persistent** — [`ResultCache`] stores reports on disk keyed by the
 //!    same fingerprint plus [`CACHE_FORMAT_VERSION`], so a repeated sweep
 //!    (`fig6 --cache ...`) reloads unchanged points instead of
@@ -46,24 +46,15 @@ use crate::run::{PolicyKind, RunConfig, SchedulerKind};
 /// directories and are simply never read.
 pub const CACHE_FORMAT_VERSION: u32 = 1;
 
-/// The content identity of one simulation run.
+/// The content identity of one simulation run: program content and name
+/// plus the canonical config. This is the persistent cache's address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct RunKey {
-    /// Identity of the warmed machine state: program *content* (name
-    /// excluded) plus canonical config. Jobs with equal `warm` keys build
-    /// identical post-warm-up simulator state and can fork from one shared
-    /// checkpoint.
-    pub warm: Fingerprint,
-    /// Identity of the full result: `warm` plus report-visible metadata
-    /// (the program name, which labels the report but cannot influence the
-    /// simulation). This is the persistent cache's address.
-    pub full: Fingerprint,
-}
+pub struct RunKey(Fingerprint);
 
 impl RunKey {
-    /// The cache-file stem (32 hex chars of the full key).
+    /// The cache-file stem (32 hex chars).
     pub fn hex(&self) -> String {
-        self.full.to_hex()
+        self.0.to_hex()
     }
 }
 
@@ -75,8 +66,6 @@ impl RunKey {
 /// construction:
 /// * `scheduler`, `translation_cache` — `tests/determinism.rs` proves both
 ///   schedulers and both translation paths bit-identical.
-/// * `sim_threads` — `tests/engine_differential.rs` proves the epoch
-///   engine bit-identical to serial.
 /// * `validate_coherence` — an audit that panics or does nothing; it never
 ///   alters state.
 /// * `race_window`/`seed` — consumed only by [`PolicyKind::BinHopping`] on
@@ -89,7 +78,6 @@ fn canonical_cfg(cfg: &RunConfig) -> RunConfig {
     let mut c = cfg.clone();
     c.scheduler = SchedulerKind::MinClockBatch;
     c.translation_cache = true;
-    c.sim_threads = 1;
     c.validate_coherence = false;
     if c.policy != PolicyKind::BinHopping || c.mem.num_cpus <= 1 {
         c.race_window = 0;
@@ -115,8 +103,14 @@ fn canonical_cfg(cfg: &RunConfig) -> RunConfig {
 /// new field changes the rendering and therefore, correctly, the key).
 pub fn run_key(compiled: &CompiledProgram, cfg: &RunConfig) -> RunKey {
     let mut h = FpHasher::new();
-    let canon = canonical_cfg(cfg);
-    write!(h, "{canon:?}").expect("fingerprint writer is infallible");
+    // `RunConfig` used to end in a `sim_threads` field that
+    // canonicalization pinned to 1. Its rendering is kept in the hashed
+    // stream, so keys — and the entries of existing caches — stay valid.
+    let canon = format!("{:?}", canonical_cfg(cfg));
+    let canon = canon
+        .strip_suffix(" }")
+        .expect("derived Debug of a struct ends in ` }`");
+    write!(h, "{canon}, sim_threads: 1 }}").expect("fingerprint writer is infallible");
     h.write_u64(compiled.num_cpus as u64);
     h.write_u64(compiled.data_bytes);
     write!(
@@ -125,13 +119,9 @@ pub fn run_key(compiled: &CompiledProgram, cfg: &RunConfig) -> RunKey {
         compiled.layout, compiled.arrays, compiled.summary, compiled.phases
     )
     .expect("fingerprint writer is infallible");
-    let warm = h.finish();
-    // The name rides on top: it labels the report (`RunReport::name`) but
-    // cannot influence the simulation, so it is excluded from the warm key
-    // and folded into the full key only.
+    // Framed, so the last program field cannot blur into the name.
     h.write_str_framed(&compiled.name);
-    let full = h.finish();
-    RunKey { warm, full }
+    RunKey(h.finish())
 }
 
 // ---------------------------------------------------------------------------
@@ -488,7 +478,6 @@ mod tests {
         let base = small_cfg(2);
         let mut variant = base.clone();
         variant.scheduler = SchedulerKind::Heap;
-        variant.sim_threads = 4;
         variant.translation_cache = false;
         variant.validate_coherence = true;
         // Page coloring never reads these:
@@ -526,20 +515,36 @@ mod tests {
     }
 
     #[test]
-    fn program_name_splits_full_key_but_not_warm_key() {
+    fn program_name_and_content_change_the_key() {
         let cfg = small_cfg(2);
         let a = compiled(2);
         let mut b = a.clone();
         b.name = "tomcatv-relabeled".to_string();
-        let ka = run_key(&a, &cfg);
-        let kb = run_key(&b, &cfg);
-        assert_eq!(ka.warm, kb.warm, "name must not affect warm identity");
-        assert_ne!(ka.full, kb.full, "name labels the report");
-        // Program content changes both.
+        assert_ne!(
+            run_key(&a, &cfg),
+            run_key(&b, &cfg),
+            "name labels the report"
+        );
         let c = compile_suite("swim", 2);
-        let kc = run_key(&c, &cfg);
-        assert_ne!(ka.warm, kc.warm);
-        assert_ne!(ka.full, kc.full);
+        assert_ne!(run_key(&a, &cfg), run_key(&c, &cfg));
+    }
+
+    /// Keys name the files of existing caches (and the ones the
+    /// `perfbench` cache round trip writes), so they may only change along
+    /// with [`CACHE_FORMAT_VERSION`]. Pinned for three policies, so the
+    /// canonicalized `race_window`/`seed` and `hint_options` are covered.
+    #[test]
+    fn run_keys_are_stable_across_builds() {
+        let c = compiled(2);
+        for (policy, hex) in [
+            (PolicyKind::PageColoring, "7bec34be847d8689700d8a8404d57f59"),
+            (PolicyKind::Cdpc, "bbc4a64e3f09851942487ddbdeedc902"),
+            (PolicyKind::BinHopping, "03c0a1130d93e8df29b5f532d91decb4"),
+        ] {
+            let mut cfg = small_cfg(2);
+            cfg.policy = policy;
+            assert_eq!(run_key(&c, &cfg).hex(), hex, "{policy:?}");
+        }
     }
 
     #[test]

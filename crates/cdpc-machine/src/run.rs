@@ -19,13 +19,12 @@
 use std::cmp::Reverse;
 
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 use cdpc_compiler::trace::TraceOp;
 use cdpc_compiler::{CompiledProgram, CompiledStmt};
 use cdpc_core::hints::HintOptions;
-use cdpc_core::{generate_hints_with, Fingerprint, MachineParams};
-use cdpc_memsim::{AccessKind, CpuStats, MemConfig, MemSnapshot, MemStats, MemorySystem};
+use cdpc_core::{generate_hints_with, MachineParams};
+use cdpc_memsim::{AccessKind, CpuStats, MemConfig, MemStats, MemorySystem};
 use cdpc_obs::{AttributionProbe, HintOutcome, IntervalSeries, NullProbe, Probe, Sample};
 use cdpc_vm::addr::{Color, ColorSpace, PageGeometry, PhysAddr, Ppn, VirtAddr, Vpn};
 use cdpc_vm::policy::{BinHopping, CdpcPolicy, MappingPolicy, PageColoring};
@@ -128,22 +127,6 @@ pub struct RunConfig {
     /// either way (a differential test proves it); off is only useful for
     /// that test and for debugging.
     pub translation_cache: bool,
-    /// Host threads for the intra-run parallel execution engine
-    /// (`--sim-threads N` in the bench binaries). `1` (the default) is the
-    /// plain serial run loop. With `N > 1`, parallel statements execute on
-    /// `N - 1` worker threads plus the calling thread: each simulated CPU's
-    /// private references (L1/L2 hits) run on a worker holding that CPU's
-    /// detached cache [`Lane`](cdpc_memsim::Lane), while every cross-CPU
-    /// reference (misses, upgrades, prefetches) is serialized through the
-    /// coordinator in exact global clock order. Reports, series, and probe
-    /// aggregates are **bit-identical** to the serial scheduler for every
-    /// value (differential tests in `tests/engine_differential.rs` prove
-    /// it); the engine silently falls back to the serial path for
-    /// configurations it does not cover (single-CPU machines, the `heap`
-    /// reference scheduler, `translation_cache = false`, dynamic
-    /// recoloring, order-sensitive probes, or interval sampling during the
-    /// measured pass).
-    pub sim_threads: usize,
 }
 
 impl RunConfig {
@@ -163,7 +146,6 @@ impl RunConfig {
             validate_coherence: false,
             scheduler: SchedulerKind::MinClockBatch,
             translation_cache: true,
-            sim_threads: 1,
         }
     }
 
@@ -242,8 +224,7 @@ const TCACHE_SLOTS: usize = 512;
 /// through [`Sim::recolor_page`], which invalidates the VPN in every CPU's
 /// cache, so a hit is always current and the demand path can skip both
 /// `ensure_mapped` and the page-table walk.
-#[derive(Clone)]
-pub(crate) struct TransCache {
+struct TransCache {
     /// Tag per slot; [`TransCache::EMPTY`] marks an invalid slot. (Program
     /// VPNs are tiny and even the hog job's synthetic VPNs start at
     /// `u64::MAX / 2`, so the sentinel is unreachable.)
@@ -254,7 +235,7 @@ pub(crate) struct TransCache {
 impl TransCache {
     const EMPTY: u64 = u64::MAX;
 
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Self {
             vpns: [Self::EMPTY; TCACHE_SLOTS],
             ppns: [0; TCACHE_SLOTS],
@@ -262,7 +243,7 @@ impl TransCache {
     }
 
     #[inline]
-    pub(crate) fn lookup(&self, vpn: u64) -> Option<u64> {
+    fn lookup(&self, vpn: u64) -> Option<u64> {
         let slot = (vpn as usize) & (TCACHE_SLOTS - 1);
         (self.vpns[slot] == vpn).then(|| self.ppns[slot])
     }
@@ -282,15 +263,13 @@ impl TransCache {
     }
 }
 
-pub(crate) struct Sim<Q: Probe> {
-    pub(crate) mem: MemorySystem<Q>,
+struct Sim<Q: Probe> {
+    mem: MemorySystem<Q>,
     vm: AddressSpace,
-    policy: Box<dyn MappingPolicy + Send + Sync>,
-    pub(crate) clocks: Vec<u64>,
-    /// Per-CPU micro-translation-caches (see [`TransCache`]). Boxed so the
-    /// parallel engine can hand a CPU's cache to a worker thread with an
-    /// 8-byte pointer swap instead of an 8 KB copy.
-    pub(crate) tcache: Vec<Box<TransCache>>,
+    policy: Box<dyn MappingPolicy>,
+    clocks: Vec<u64>,
+    /// Per-CPU micro-translation-caches (see [`TransCache`]).
+    tcache: Vec<TransCache>,
     /// Dynamic recoloring state: per-page conflict counters, per-color
     /// mapped-page loads, and the number of recolorings performed.
     dynamic: bool,
@@ -298,13 +277,13 @@ pub(crate) struct Sim<Q: Probe> {
     color_loads: Vec<u32>,
     recolorings: u64,
     // Per-phase accumulators (reset at phase boundaries).
-    pub(crate) instr: Vec<u64>,
+    instr: Vec<u64>,
     fault_cycles: Vec<u64>,
     imbalance: u64,
     sequential: u64,
     suppressed: u64,
     sync: u64,
-    pub(crate) cfg: RunConfig,
+    cfg: RunConfig,
     geometry: PageGeometry,
     /// Interval metrics, armed only during the measured pass of
     /// [`run_observed`] when sampling was requested.
@@ -410,7 +389,7 @@ impl<Q: Probe> Sim<Q> {
     /// page-table walk entirely; since a cached translation is invalidated
     /// whenever the mapping moves, the result is identical either way.
     #[inline]
-    pub(crate) fn translate_demand(&mut self, cpu: usize, va: VirtAddr) -> (Vpn, PhysAddr) {
+    fn translate_demand(&mut self, cpu: usize, va: VirtAddr) -> (Vpn, PhysAddr) {
         let vpn = self.geometry.vpn_of(va);
         if self.cfg.translation_cache {
             if let Some(ppn) = self.tcache[cpu].lookup(vpn.0) {
@@ -454,75 +433,14 @@ impl<Q: Probe> Sim<Q> {
     ///   instructions on that line are exactly the ones the adjacent
     ///   `Instr(n)` op already charges — adding an issue cycle here would
     ///   double-count them. A test pins the accounted totals to the stream.
-    pub(crate) fn exec_op(&mut self, cpu: usize, op: TraceOp) {
+    fn exec_op(&mut self, cpu: usize, op: TraceOp) {
         match op {
             TraceOp::Instr(n) => {
                 self.clocks[cpu] += n;
                 self.instr[cpu] += n;
             }
-            TraceOp::Load(va) | TraceOp::Store(va) | TraceOp::IFetch(va) => {
-                let (vpn, pa) = self.translate_demand(cpu, va);
-                let miss = self.exec_demand_translated(cpu, op, pa);
-                if self.dynamic && miss == Some(cdpc_memsim::MissClass::Conflict) {
-                    self.note_conflict_miss(cpu, vpn);
-                }
-            }
-            TraceOp::Prefetch { addr, exclusive } => {
-                let pa = self.prefetch_pa(cpu, addr);
-                let out = self
-                    .mem
-                    .prefetch(cpu, self.clocks[cpu], addr, pa, exclusive);
-                self.clocks[cpu] += out.stall_cycles + 1;
-                self.instr[cpu] += 1;
-            }
-        }
-        self.sampler_tick(cpu);
-    }
-
-    /// Translates a prefetch target without faulting: prefetches to
-    /// unmapped pages are dropped by the TLB probe (the page cannot be in
-    /// the TLB if never demand-accessed), so the placeholder `pa` of an
-    /// unmapped page is never read. Pure — no state changes — which is
-    /// what lets the parallel engine compute a prefetch hazard's cache
-    /// line before committing to execute it.
-    pub(crate) fn prefetch_pa(&self, cpu: usize, addr: VirtAddr) -> PhysAddr {
-        if self.cfg.translation_cache {
-            let vpn = self.geometry.vpn_of(addr);
-            match self.tcache[cpu].lookup(vpn.0) {
-                Some(ppn) => self
-                    .geometry
-                    .phys_addr(Ppn(ppn), self.geometry.offset_of(addr)),
-                None => self.vm.translate(addr).unwrap_or(PhysAddr(0)),
-            }
-        } else {
-            self.vm.translate(addr).unwrap_or(PhysAddr(0))
-        }
-    }
-
-    /// Applies a prefetch outcome's processor-side accounting — the tail
-    /// of the `Prefetch` arm of [`exec_op`](Self::exec_op), split out for
-    /// the parallel engine (which screens and issues the prefetch in two
-    /// steps around its victim gate).
-    pub(crate) fn finish_prefetch(&mut self, cpu: usize, out: cdpc_memsim::PrefetchOutcome) {
-        self.clocks[cpu] += out.stall_cycles + 1;
-        self.instr[cpu] += 1;
-    }
-
-    /// The post-translation tail of [`exec_op`](Self::exec_op) for demand
-    /// references (`Load`/`Store`/`IFetch`): runs the memory access at the
-    /// CPU's current clock and applies the audited per-op accounting.
-    /// Shared between the serial path and the parallel engine's hazard
-    /// execution (which translates at its ordering gate), so the two
-    /// cannot drift. Returns the miss class for the caller's
-    /// dynamic-recoloring hook.
-    pub(crate) fn exec_demand_translated(
-        &mut self,
-        cpu: usize,
-        op: TraceOp,
-        pa: PhysAddr,
-    ) -> Option<cdpc_memsim::MissClass> {
-        match op {
             TraceOp::Load(va) | TraceOp::Store(va) => {
+                let (vpn, pa) = self.translate_demand(cpu, va);
                 let kind = if matches!(op, TraceOp::Store(_)) {
                     AccessKind::Write
                 } else {
@@ -531,19 +449,40 @@ impl<Q: Probe> Sim<Q> {
                 let out = self.mem.access(cpu, self.clocks[cpu], va, pa, kind);
                 self.clocks[cpu] += out.latency_cycles + 1;
                 self.instr[cpu] += 1;
-                out.miss_class
+                if self.dynamic && out.miss_class == Some(cdpc_memsim::MissClass::Conflict) {
+                    self.note_conflict_miss(cpu, vpn);
+                }
             }
             TraceOp::IFetch(va) => {
+                let (_, pa) = self.translate_demand(cpu, va);
                 let out = self
                     .mem
                     .access(cpu, self.clocks[cpu], va, pa, AccessKind::IFetch);
                 self.clocks[cpu] += out.latency_cycles;
-                None
             }
-            TraceOp::Instr(_) | TraceOp::Prefetch { .. } => {
-                unreachable!("exec_demand_translated only handles demand references")
+            TraceOp::Prefetch { addr, exclusive } => {
+                // No fault: prefetches to unmapped pages are dropped by the
+                // TLB probe (the page cannot be in the TLB if never
+                // demand-accessed), so pa is never read for them.
+                let pa = if self.cfg.translation_cache {
+                    let vpn = self.geometry.vpn_of(addr);
+                    match self.tcache[cpu].lookup(vpn.0) {
+                        Some(ppn) => self
+                            .geometry
+                            .phys_addr(Ppn(ppn), self.geometry.offset_of(addr)),
+                        None => self.vm.translate(addr).unwrap_or(PhysAddr(0)),
+                    }
+                } else {
+                    self.vm.translate(addr).unwrap_or(PhysAddr(0))
+                };
+                let out = self
+                    .mem
+                    .prefetch(cpu, self.clocks[cpu], addr, pa, exclusive);
+                self.clocks[cpu] += out.stall_cycles + 1;
+                self.instr[cpu] += 1;
             }
         }
+        self.sampler_tick(cpu);
     }
 
     /// Advances the sampling wall clock past this CPU's local clock and
@@ -699,7 +638,13 @@ impl<Q: Probe> Sim<Q> {
                         }
                     }
                 }
-                self.parallel_barrier(p);
+                // Barrier: account imbalance, then synchronize.
+                let tmax = *self.clocks.iter().max().expect("at least one cpu");
+                for c in 0..p {
+                    self.imbalance += tmax - self.clocks[c];
+                    self.clocks[c] = tmax + self.cfg.barrier_cycles;
+                    self.sync += self.cfg.barrier_cycles;
+                }
             }
             CompiledStmt::Master { spec, suppressed } => {
                 let start = self.clocks[0];
@@ -717,18 +662,6 @@ impl<Q: Probe> Sim<Q> {
                     }
                 }
             }
-        }
-    }
-
-    /// The barrier closing a parallel statement: account imbalance, then
-    /// synchronize every participant. Shared by the serial scheduler arms
-    /// and the parallel engine.
-    pub(crate) fn parallel_barrier(&mut self, p: usize) {
-        let tmax = *self.clocks.iter().max().expect("at least one cpu");
-        for c in 0..p {
-            self.imbalance += tmax - self.clocks[c];
-            self.clocks[c] = tmax + self.cfg.barrier_cycles;
-            self.sync += self.cfg.barrier_cycles;
         }
     }
 
@@ -778,10 +711,7 @@ fn code_pages(compiled: &CompiledProgram, page_size: usize) -> Vec<Vpn> {
 /// Builds the mapping policy for a run. CDPC hints are generated from the
 /// compiled program's access summary with the run's machine parameters —
 /// the paper's stage-2 run-time step.
-fn build_policy(
-    compiled: &CompiledProgram,
-    cfg: &RunConfig,
-) -> Box<dyn MappingPolicy + Send + Sync> {
+fn build_policy(compiled: &CompiledProgram, cfg: &RunConfig) -> Box<dyn MappingPolicy> {
     let colors = cfg.color_space();
     match cfg.policy {
         PolicyKind::PageColoring | PolicyKind::DynamicRecolor => {
@@ -867,67 +797,6 @@ pub fn run_observed<P: Probe>(
     probe: &mut P,
     sample_interval: Option<u64>,
 ) -> (RunReport, Option<IntervalSeries>) {
-    if engine_eligible::<P>(cfg) {
-        match crate::engine::run_engine(compiled, cfg, &mut *probe, sample_interval) {
-            Ok(out) => return out,
-            Err(crate::engine::EngineAbort) => {
-                // A cross-CPU conflict landed inside a speculated private
-                // span (possible, rare, and detected exactly): drop all
-                // engine state, tell the probe to reset, and re-run the
-                // whole thing serially — the bit-identical slow path.
-                probe.on_engine_restart();
-            }
-        }
-    }
-    match run_observed_inner(compiled, cfg, probe, sample_interval, None) {
-        Ok(out) => out,
-        Err(crate::engine::EngineAbort) => unreachable!("serial path cannot abort"),
-    }
-}
-
-/// Whether the parallel engine covers this configuration and probe. The
-/// excluded cases either have nothing to parallelize (one CPU, one
-/// thread), change the reference order itself (`heap` scheduler), route
-/// every translation through mutable OS state (`translation_cache =
-/// false`), mutate cross-CPU state from arbitrary points (dynamic
-/// recoloring's IPIs and flushes), or require the exact global event
-/// interleaving (`ORDER_SENSITIVE` probes).
-fn engine_eligible<P: Probe>(cfg: &RunConfig) -> bool {
-    cfg.sim_threads > 1
-        && cfg.mem.num_cpus > 1
-        && cfg.scheduler == SchedulerKind::MinClockBatch
-        && cfg.translation_cache
-        && cfg.policy != PolicyKind::DynamicRecolor
-        && !P::ORDER_SENSITIVE
-}
-
-pub(crate) fn run_observed_inner<'a, P: Probe>(
-    compiled: &'a CompiledProgram,
-    cfg: &RunConfig,
-    probe: &mut P,
-    sample_interval: Option<u64>,
-    mut engine: Option<&mut crate::engine::EngineDriver<'a, '_>>,
-) -> Result<(RunReport, Option<IntervalSeries>), crate::engine::EngineAbort> {
-    let mut sim = build_sim(compiled, cfg, probe);
-
-    // Warm-up pass: fault pages in, warm caches; everything discarded.
-    for phase in &compiled.phases {
-        for stmt in &phase.stmts {
-            exec_stmt_dispatch(&mut sim, stmt, &mut engine)?;
-        }
-        if cfg.validate_coherence || cfg!(debug_assertions) {
-            sim.mem.validate_coherence();
-        }
-    }
-
-    measured_pass(&mut sim, compiled, sample_interval, &mut engine)
-}
-
-/// Builds the machine — VM, physical memory (with the optional hog job),
-/// mapping policy, per-CPU clocks and translation caches — positioned at
-/// the program's start, before any warm-up. Shared by the straight-line
-/// run path and [`warm_checkpoint`].
-fn build_sim<Q: Probe>(compiled: &CompiledProgram, cfg: &RunConfig, probe: Q) -> Sim<Q> {
     assert_eq!(
         compiled.num_cpus, cfg.mem.num_cpus,
         "program compiled for {} CPUs but machine has {}",
@@ -971,11 +840,11 @@ fn build_sim<Q: Probe>(compiled: &CompiledProgram, cfg: &RunConfig, probe: Q) ->
 
     let num_colors = colors.num_colors() as usize;
     let mut sim = Sim {
-        mem: MemorySystem::with_probe(cfg.mem.clone(), probe),
+        mem: MemorySystem::with_probe(cfg.mem.clone(), &mut *probe),
         vm,
         policy,
         clocks: vec![0; p],
-        tcache: (0..p).map(|_| Box::new(TransCache::new())).collect(),
+        tcache: (0..p).map(|_| TransCache::new()).collect(),
         dynamic: cfg.policy == PolicyKind::DynamicRecolor,
         conflict_counts: cdpc_core::fastmap::FxMap64::new(),
         color_loads: vec![0; num_colors],
@@ -1009,22 +878,19 @@ fn build_sim<Q: Probe>(compiled: &CompiledProgram, cfg: &RunConfig, probe: Q) ->
             sim.ensure_mapped(0, vpn);
         }
     }
-    sim
-}
 
-/// The measured pass: per-phase statistics weighted by occurrence count,
-/// with optional interval sampling. Expects `sim` positioned exactly at
-/// the end of the warm-up pass — whether it just executed one
-/// ([`run_observed_inner`]) or was restored from a [`WarmCheckpoint`]
-/// ([`run_from_checkpoint`]); the report is bit-identical either way.
-fn measured_pass<'a, Q: Probe>(
-    sim: &mut Sim<Q>,
-    compiled: &'a CompiledProgram,
-    sample_interval: Option<u64>,
-    engine: &mut Option<&mut crate::engine::EngineDriver<'a, '_>>,
-) -> Result<(RunReport, Option<IntervalSeries>), crate::engine::EngineAbort> {
-    let cfg = sim.cfg.clone();
-    let p = cfg.mem.num_cpus;
+    // Warm-up pass: fault pages in, warm caches; everything discarded.
+    for phase in &compiled.phases {
+        for stmt in &phase.stmts {
+            sim.exec_stmt(stmt);
+        }
+        if cfg.validate_coherence || cfg!(debug_assertions) {
+            sim.mem.validate_coherence();
+        }
+    }
+
+    // Measured pass: per-phase statistics weighted by occurrence count.
+    // Interval sampling (if requested) covers exactly this pass.
     sim.sampler = sample_interval.map(Sampler::new);
     let mut instructions = 0u64;
     let mut exec_cycles = 0u64;
@@ -1046,7 +912,7 @@ fn measured_pass<'a, Q: Probe>(
         sim.mem.probe_mut().on_phase_start(phase_idx, phase.count);
         let start: Vec<u64> = sim.clocks.clone();
         for stmt in &phase.stmts {
-            exec_stmt_dispatch(&mut *sim, stmt, engine)?;
+            sim.exec_stmt(stmt);
         }
         let phase_end_cycle = sim.clocks.iter().copied().max().unwrap_or(0);
         sim.mem.probe_mut().on_phase_end(phase_idx, phase_end_cycle);
@@ -1130,169 +996,7 @@ fn measured_pass<'a, Q: Probe>(
         simulated_refs: sim.mem.lifetime_refs(),
     };
     let series = sim.sampler.take().map(|s| s.series);
-    Ok((report, series))
-}
-
-/// The complete machine state at the end of a warm-up pass, captured once
-/// and shared (via `Arc`) by every sweep point whose warm-up is
-/// content-identical.
-///
-/// The warm-up pass depends on everything in the `RunConfig` and the
-/// program's *content* — but not on the program's *name*, which only
-/// labels the report. [`warm_checkpoint`] therefore keys the state by
-/// [`RunKey::warm`](crate::memo::RunKey::warm) (the name-excluding half of
-/// the content fingerprint), and [`run_from_checkpoint`] asserts the key
-/// matches before replaying. Cloning is an `Arc` bump; the state itself is
-/// immutable once captured.
-#[derive(Clone)]
-pub struct WarmCheckpoint {
-    state: Arc<WarmState>,
-}
-
-/// The mutable half of a [`Sim`] as of the end of warm-up: memory-system
-/// snapshot, address space, policy state (hint counters, bin-hopping
-/// cursors), per-CPU clocks and translation caches, and the dynamic
-/// recolorer's accumulators. Per-phase accumulators are *not* stored —
-/// [`measured_pass`] resets them at every phase boundary anyway.
-struct WarmState {
-    mem: MemSnapshot,
-    vm: AddressSpace,
-    policy: Box<dyn MappingPolicy + Send + Sync>,
-    clocks: Vec<u64>,
-    tcache: Vec<Box<TransCache>>,
-    conflict_counts: cdpc_core::fastmap::FxMap64<u32>,
-    color_loads: Vec<u32>,
-    recolorings: u64,
-    warm: Fingerprint,
-    num_cpus: usize,
-}
-
-impl WarmCheckpoint {
-    /// The warm-key fingerprint this checkpoint was captured under —
-    /// [`run_from_checkpoint`] only accepts `(compiled, cfg)` pairs whose
-    /// [`run_key`](crate::memo::run_key)`.warm` equals this.
-    pub fn warm_key(&self) -> Fingerprint {
-        self.state.warm
-    }
-
-    /// Number of CPUs in the checkpointed machine.
-    pub fn num_cpus(&self) -> usize {
-        self.state.num_cpus
-    }
-}
-
-/// Builds the machine and executes the warm-up pass only, capturing the
-/// resulting state as a [`WarmCheckpoint`].
-///
-/// Sweep points that share warm-up content (same program content and
-/// configuration, differing only in report name) can then each call
-/// [`run_from_checkpoint`] to replay the measured pass from this shared
-/// state instead of re-simulating the warm-up prefix — with bit-identical
-/// reports, because the serial measured pass starts from byte-equal state
-/// either way.
-///
-/// # Panics
-///
-/// Panics if physical memory is exhausted (raise
-/// [`RunConfig::phys_slack`]) — a configuration error, not a program
-/// outcome.
-pub fn warm_checkpoint(compiled: &CompiledProgram, cfg: &RunConfig) -> WarmCheckpoint {
-    let mut sim = build_sim(compiled, cfg, NullProbe);
-    for phase in &compiled.phases {
-        for stmt in &phase.stmts {
-            exec_stmt_dispatch(&mut sim, stmt, &mut None)
-                .unwrap_or_else(|_| unreachable!("serial path cannot abort"));
-        }
-        if cfg.validate_coherence || cfg!(debug_assertions) {
-            sim.mem.validate_coherence();
-        }
-    }
-    WarmCheckpoint {
-        state: Arc::new(WarmState {
-            mem: sim.mem.snapshot(),
-            vm: sim.vm.clone(),
-            policy: sim.policy.clone_box(),
-            clocks: sim.clocks.clone(),
-            tcache: sim.tcache.clone(),
-            conflict_counts: sim.conflict_counts.clone(),
-            color_loads: sim.color_loads.clone(),
-            recolorings: sim.recolorings,
-            warm: crate::memo::run_key(compiled, cfg).warm,
-            num_cpus: cfg.mem.num_cpus,
-        }),
-    }
-}
-
-/// Runs only the measured pass of `(compiled, cfg)`, starting from a
-/// [`WarmCheckpoint`] instead of executing the warm-up pass.
-///
-/// The report is bit-identical to [`run`]`(compiled, cfg)`: the serial
-/// measured pass is a deterministic function of the warm machine state,
-/// and the checkpoint stores that state exactly.
-///
-/// # Panics
-///
-/// Panics if the checkpoint's warm key does not match
-/// [`run_key`](crate::memo::run_key)`(compiled, cfg).warm` — replaying
-/// from a differently-warmed machine would silently corrupt results, so
-/// the mismatch is fatal.
-pub fn run_from_checkpoint(
-    compiled: &CompiledProgram,
-    cfg: &RunConfig,
-    ckpt: &WarmCheckpoint,
-) -> RunReport {
-    let key = crate::memo::run_key(compiled, cfg);
-    assert_eq!(
-        key.warm, ckpt.state.warm,
-        "checkpoint was warmed under a different (program, config) content"
-    );
-    let s = &*ckpt.state;
-    let mut sim = Sim {
-        mem: MemorySystem::with_probe(cfg.mem.clone(), NullProbe),
-        vm: s.vm.clone(),
-        policy: s.policy.clone_box(),
-        clocks: s.clocks.clone(),
-        tcache: s.tcache.clone(),
-        dynamic: cfg.policy == PolicyKind::DynamicRecolor,
-        conflict_counts: s.conflict_counts.clone(),
-        color_loads: s.color_loads.clone(),
-        recolorings: s.recolorings,
-        instr: vec![0; s.num_cpus],
-        fault_cycles: vec![0; s.num_cpus],
-        imbalance: 0,
-        sequential: 0,
-        suppressed: 0,
-        sync: 0,
-        cfg: cfg.clone(),
-        geometry: PageGeometry::new(cfg.mem.page_size),
-        sampler: None,
-    };
-    sim.mem.set_regions(compiled.region_map());
-    sim.mem.restore(&s.mem);
-    let (report, _) = measured_pass(&mut sim, compiled, None, &mut None)
-        .unwrap_or_else(|_| unreachable!("serial path cannot abort"));
-    report
-}
-
-/// Routes one statement either through the parallel engine (parallel
-/// statements while no sampler is armed) or the serial scheduler. Master
-/// statements and sampled statements always run serially: the former are
-/// single-stream by construction, and interval sampling needs the global
-/// wall clock op by op — warm-up still parallelizes even when sampling
-/// was requested, because the sampler is armed only for the measured
-/// pass, so the returned series is bit-identical either way.
-fn exec_stmt_dispatch<'a, Q: Probe>(
-    sim: &mut Sim<Q>,
-    stmt: &'a CompiledStmt,
-    engine: &mut Option<&mut crate::engine::EngineDriver<'a, '_>>,
-) -> Result<(), crate::engine::EngineAbort> {
-    if let (Some(driver), CompiledStmt::Parallel { specs }) = (engine.as_deref_mut(), stmt) {
-        if sim.sampler.is_none() {
-            return crate::engine::run_parallel_stmt(driver, sim, specs);
-        }
-    }
-    sim.exec_stmt(stmt);
-    Ok(())
+    (report, series)
 }
 
 /// An [`AttributionProbe`] pre-sized for `compiled` on `cfg`'s machine:

@@ -1,15 +1,12 @@
-//! Correctness proofs for the memoization layer: warm-checkpoint forking
-//! and the persistent result cache must be invisible in the results —
-//! every memoized path produces reports **byte-identical** to a fresh
+//! Correctness proofs for the memoization layer: in-sweep dedup and the
+//! persistent result cache must be invisible in the results — every
+//! memoized path produces reports **byte-identical** to a fresh
 //! straight-line [`run`], and every tampered or mismatched cache entry is
 //! rejected rather than believed.
 
 use cdpc_compiler::ir::{Access, AccessPattern, LoopNest, Phase, Program, Stmt, StmtKind};
 use cdpc_compiler::{compile, CompileOptions, CompiledProgram};
-use cdpc_machine::{
-    report_to_json, run, run_from_checkpoint, run_key, run_sweep, run_sweep_memo, warm_checkpoint,
-    PolicyKind, ResultCache, RunConfig, RunReport, SweepJob,
-};
+use cdpc_machine::{run_sweep, run_sweep_memo, PolicyKind, ResultCache, RunConfig, SweepJob};
 use cdpc_memsim::MemConfig;
 
 /// A small machine: 32 KB direct-mapped L2 (8 colors), tiny L1s.
@@ -22,8 +19,7 @@ fn small_mem(cpus: usize) -> MemConfig {
 }
 
 /// A stencil + partitioned-write workload: enough traffic to exercise
-/// misses, coherence, prefetch-free sharing, and page faults — state a
-/// checkpoint must capture exactly.
+/// misses, coherence, prefetch-free sharing, and page faults.
 fn program_named(name: &str, cpus: usize) -> CompiledProgram {
     let mut p = Program::new(name);
     let a = p.array("A", 12 << 10);
@@ -52,118 +48,14 @@ fn program_named(name: &str, cpus: usize) -> CompiledProgram {
     compile(&p, &CompileOptions::new(cpus).with_l2_cache(32 << 10)).unwrap()
 }
 
-fn report_key(r: &RunReport) -> String {
-    report_to_json(r).to_string_compact()
-}
-
 fn temp_cache(tag: &str) -> ResultCache {
     let dir = std::env::temp_dir().join(format!("cdpc-memo-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     ResultCache::new(dir)
 }
 
-/// Checkpoint/fork equivalence across every policy family: capture the
-/// warm state once, replay the measured pass from it, and demand exact
-/// equality with the straight-line run — structured report and rendered
-/// JSON both.
-#[test]
-fn forked_measured_pass_matches_straight_line_run() {
-    for &(cpus, policy) in &[
-        (1, PolicyKind::PageColoring),
-        (2, PolicyKind::PageColoring),
-        (2, PolicyKind::BinHopping),
-        (4, PolicyKind::Cdpc),
-        (4, PolicyKind::CdpcTouch),
-    ] {
-        let compiled = program_named("fork-equiv", cpus);
-        let cfg = RunConfig::new(small_mem(cpus), policy);
-        let straight = run(&compiled, &cfg);
-        let ckpt = warm_checkpoint(&compiled, &cfg);
-        let forked = run_from_checkpoint(&compiled, &cfg, &ckpt);
-        assert_eq!(
-            straight, forked,
-            "{policy:?} at {cpus} CPUs: forked run diverged"
-        );
-        assert_eq!(report_key(&straight), report_key(&forked));
-        // The checkpoint is reusable: a second fork is identical too.
-        assert_eq!(straight, run_from_checkpoint(&compiled, &cfg, &ckpt));
-    }
-}
-
-/// Dynamic recoloring is the hardest state to checkpoint: per-page
-/// conflict counters, per-color loads, and the recoloring count all carry
-/// over from warm-up into the measured pass.
-#[test]
-fn forked_run_preserves_dynamic_recoloring_state() {
-    let mut p = Program::new("dyn-fork");
-    let a = p.array("A", 16 << 10);
-    let _gap = p.array("gap", 16 << 10);
-    let c = p.array("C", 16 << 10);
-    let nest = LoopNest::new("sweep", 16, 300)
-        .with_access(Access::read(
-            a,
-            AccessPattern::Partitioned { unit_bytes: 1024 },
-        ))
-        .with_access(Access::write(
-            c,
-            AccessPattern::Partitioned { unit_bytes: 1024 },
-        ));
-    p.phase(Phase {
-        name: "main".into(),
-        stmts: vec![Stmt {
-            kind: StmtKind::Parallel,
-            nest,
-        }],
-        count: 6,
-    });
-    let compiled = compile(&p, &CompileOptions::new(2).with_l2_cache(32 << 10)).unwrap();
-    let mut cfg = RunConfig::new(small_mem(2), PolicyKind::DynamicRecolor);
-    cfg.recolor_threshold = 8;
-    let straight = run(&compiled, &cfg);
-    assert!(
-        straight.recolorings > 0,
-        "the recoloring detector must fire"
-    );
-    let forked = run_from_checkpoint(&compiled, &cfg, &warm_checkpoint(&compiled, &cfg));
-    assert_eq!(straight, forked);
-}
-
-/// The point of the warm/full key split: programs identical in content
-/// but for their *name* share a warm key (the name cannot influence the
-/// simulation), so one checkpoint serves both — and each forked report
-/// still equals that job's own fresh run, name and all.
-#[test]
-fn one_checkpoint_serves_same_content_different_name_jobs() {
-    let cpus = 4;
-    let alpha = program_named("variant-alpha", cpus);
-    let beta = program_named("variant-beta", cpus);
-    let cfg = RunConfig::new(small_mem(cpus), PolicyKind::Cdpc);
-    let (ka, kb) = (run_key(&alpha, &cfg), run_key(&beta, &cfg));
-    assert_eq!(ka.warm, kb.warm, "name must not enter the warm key");
-    assert_ne!(ka.full, kb.full, "name must split the full key");
-
-    let ckpt = warm_checkpoint(&alpha, &cfg);
-    let forked_beta = run_from_checkpoint(&beta, &cfg, &ckpt);
-    let fresh_beta = run(&beta, &cfg);
-    assert_eq!(fresh_beta, forked_beta);
-    assert_eq!(forked_beta.name, "variant-beta");
-}
-
-/// Replaying from a checkpoint warmed under different content would
-/// silently corrupt results; the mismatch must be fatal instead.
-#[test]
-#[should_panic(expected = "different (program, config) content")]
-fn checkpoint_rejects_mismatched_warm_key() {
-    let cpus = 2;
-    let compiled = program_named("mismatch", cpus);
-    let cfg = RunConfig::new(small_mem(cpus), PolicyKind::PageColoring);
-    let ckpt = warm_checkpoint(&compiled, &cfg);
-    let other_cfg = RunConfig::new(small_mem(cpus), PolicyKind::Cdpc);
-    let _ = run_from_checkpoint(&compiled, &other_cfg, &ckpt);
-}
-
 /// The memoized sweep is a drop-in for the plain one: same jobs, same
-/// order, same bytes — while dedup and forking silently remove redundant
+/// order, same bytes — while dedup silently removes redundant
 /// simulation. Stats must partition the job list exactly.
 #[test]
 fn memoized_sweep_is_bit_identical_to_plain_sweep() {
@@ -173,7 +65,7 @@ fn memoized_sweep_is_bit_identical_to_plain_sweep() {
         SweepJob::new(program_named("job-a", cpus), cfg.clone()),
         // Exact duplicate of job-a: in-sweep dedup.
         SweepJob::new(program_named("job-a", cpus), cfg.clone()),
-        // Same content, different name: warm-checkpoint fork.
+        // Same content, different name: simulates under its own name.
         SweepJob::new(program_named("job-b", cpus), cfg.clone()),
         // Genuinely different machine: simulates on its own.
         SweepJob::new(
@@ -187,7 +79,6 @@ fn memoized_sweep_is_bit_identical_to_plain_sweep() {
         assert_eq!(plain, memo, "threads={threads}");
         assert_eq!(stats.total(), jobs.len() as u64);
         assert_eq!(stats.deduped, 1, "the duplicate job dedups");
-        assert_eq!(stats.forked, 1, "the renamed job forks");
         assert_eq!(
             stats.bypassed, 3,
             "no cache attached: simulated jobs bypass"

@@ -97,257 +97,7 @@ struct DirEntry {
     dirty_owner: Option<CpuId>,
 }
 
-/// One CPU's private slice of the memory system — its L1s, external cache,
-/// TLB, shadow cache, prefetch bookkeeping, and statistics — detached from
-/// the [`MemorySystem`] so a worker thread can execute *private* references
-/// against it while the rest of the system stays with the coordinator.
-///
-/// Created by [`blank_lane`], exchanged with the live per-CPU state by
-/// [`MemorySystem::swap_lane`], and driven by [`Lane::access_private`].
-/// While a blank lane is swapped in, the owning `MemorySystem` must not be
-/// asked to access that CPU (the engine in `cdpc-machine` guarantees this
-/// by executing a CPU's references either on the lane *or* through the
-/// coordinator, never both).
 #[derive(Debug)]
-pub struct Lane(CpuMem);
-
-/// Deferred side effects of privately executed references.
-///
-/// Everything in here is *commutative*: applying two CPUs' buffers in
-/// either order yields the same [`MemorySystem`] state and the same probe
-/// counts, which is what makes lane execution order-independent. The
-/// buffers are recycled (cleared, never dropped) so steady-state lane
-/// execution performs no heap allocation.
-#[derive(Debug, Default)]
-pub struct LaneFx {
-    /// Demand references executed on the lane (feeds `lifetime_refs`).
-    refs: u64,
-    /// `(pa_l2_line, sub_block)` of private writes, for the sharing
-    /// tracker. Private writes only happen on `Modified` lines, and
-    /// `SharingTracker::on_write` only ORs sub-block bits into existing
-    /// invalidation records, so application order does not matter.
-    writes: Vec<(u64, u32)>,
-    /// `(cycle, vpn)` of TLB misses, replayed to the probe at the next
-    /// synchronization point.
-    tlb_events: Vec<(u64, u64)>,
-}
-
-impl LaneFx {
-    /// Drops buffered effects without applying them (engine abort path).
-    pub fn clear(&mut self) {
-        self.refs = 0;
-        self.writes.clear();
-        self.tlb_events.clear();
-    }
-}
-
-/// Outcome of [`Lane::access_private`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LaneStep {
-    /// The reference completed privately. `line` is the external-cache
-    /// line it touched and `shadow_miss` whether it inserted into (rather
-    /// than just touched) the fully-associative shadow cache — both feed
-    /// the engine's conflict journal.
-    Executed {
-        /// Stall cycles beyond the instruction's base cost.
-        latency: u64,
-        /// The pa-side external-cache line the reference touched.
-        line: u64,
-        /// True when the shadow-cache reference missed (insert + possible
-        /// eviction, which does not commute with invalidations).
-        shadow_miss: bool,
-        /// The line the shadow-cache insertion evicted, if any.
-        shadow_evicted: Option<u64>,
-    },
-    /// The reference needs cross-CPU state (coherence, bus, directory,
-    /// classification, or prefetch machinery). **Nothing was committed**;
-    /// the coordinator must execute the whole reference serially.
-    Park,
-}
-
-/// Builds one CPU's private state for `cfg` (shared by
-/// [`MemorySystem::with_probe`] and [`blank_lane`], so a lane swapped in as
-/// a placeholder is structurally identical to the state it replaces).
-fn new_cpu_mem(cfg: &MemConfig) -> CpuMem {
-    CpuMem {
-        l1d: Cache::new(cfg.l1d),
-        l1i: Cache::new(cfg.l1i),
-        l2: Cache::new(cfg.l2),
-        tlb: Tlb::new(cfg.tlb_entries),
-        shadow: ShadowCache::new(cfg.l2.num_lines()),
-        seen_lines: DenseSet64::new(),
-        l1_map: FxMap64::new(),
-        inflight: FxMap64::new(),
-        pf_filled: FxSet64::new(),
-        pf_done: Vec::new(),
-        slots: PrefetchSlots::new(cfg.max_outstanding_prefetches),
-        stats: CpuStats::default(),
-        victim: (cfg.victim_cache_lines > 0).then(|| VictimCache::new(cfg.victim_cache_lines)),
-    }
-}
-
-/// A detached blank [`Lane`] for `cfg` — the placeholder the engine swaps
-/// into a [`MemorySystem`] while the real per-CPU state executes on a
-/// worker thread.
-pub fn blank_lane(cfg: &MemConfig) -> Lane {
-    Lane(new_cpu_mem(cfg))
-}
-
-/// Installs an L1 sub-line after an L1 miss was serviced; mirrors the fill
-/// side of `MemorySystem::access` exactly (peek-gate, tagged fill, forward
-/// pa→va map maintenance). Shared by the serial path and the lane so the
-/// two cannot drift.
-fn fill_l1_cm(cfg: &MemConfig, c: &mut CpuMem, va_line: u64, pa: u64, is_ifetch: bool) {
-    let pa_sub = cfg.l1d.line_of(pa);
-    let l1 = if is_ifetch { &mut c.l1i } else { &mut c.l1d };
-    if matches!(l1.peek(va_line), Lookup::Hit(_)) {
-        return;
-    }
-    if let Some(evicted) = l1.fill_tagged(va_line, Mesi::Exclusive, pa_sub) {
-        // The way's aux tag is the pa the victim was filled under, so
-        // the stale forward mapping dies without a reverse lookup.
-        c.l1_map.remove(evicted.aux);
-    }
-    c.l1_map.insert(pa_sub, va_line);
-}
-
-impl Lane {
-    /// Attempts one demand reference entirely within this lane.
-    ///
-    /// A reference is *private* exactly when it provably touches no
-    /// cross-CPU state — no bus, no directory, no other CPU's caches, no
-    /// miss classification, and no prefetch machinery:
-    ///
-    /// * any reference while a prefetch is in flight parks (the completion
-    ///   sweep re-reads the directory);
-    /// * an L1 hit is private for reads, and for writes when the backing
-    ///   L2 line is already `Modified` (the write changes no line state)
-    ///   or transiently absent (the serial path treats that as a no-op);
-    /// * an L1 miss that hits the L2 is private for reads in any state and
-    ///   for writes on a `Modified` line. Writes on `Shared`/`Exclusive`
-    ///   lines park: the upgrade (or the silent E→M transition's
-    ///   `on_line_state` event) is globally visible;
-    /// * everything else — L2 misses, prefetch instructions — parks.
-    ///
-    /// On `Park` **nothing** has been committed: classification uses only
-    /// non-mutating peeks, so the coordinator replays the whole reference
-    /// through [`MemorySystem::access`] and observes exactly the serial
-    /// behaviour. On `Executed` the lane state, statistics, and latency are
-    /// bit-identical to what the serial path would have produced, with the
-    /// commutative leftovers (`lifetime_refs`, sharing-tracker writes, TLB
-    /// probe events) buffered in `fx` for
-    /// [`MemorySystem::apply_lane_fx`].
-    pub fn access_private(
-        &mut self,
-        cfg: &MemConfig,
-        now: u64,
-        va: u64,
-        pa: u64,
-        kind: AccessKind,
-        fx: &mut LaneFx,
-    ) -> LaneStep {
-        let c = &mut self.0;
-        if !c.inflight.is_empty() {
-            return LaneStep::Park;
-        }
-        let is_ifetch = kind == AccessKind::IFetch;
-        let is_write = kind == AccessKind::Write;
-        let va_line = cfg.l1d.line_of(va);
-        let pa_l2_line = cfg.l2.line_of(pa);
-
-        // Classification — non-mutating peeks only, so parking commits
-        // nothing. (`peek` does not touch LRU; the commit below replays
-        // `probe` where the serial path would have.)
-        let l1_hit = {
-            let l1 = if is_ifetch { &c.l1i } else { &c.l1d };
-            matches!(l1.peek(va_line), Lookup::Hit(_))
-        };
-        let l2_state = match c.l2.peek(pa_l2_line) {
-            Lookup::Hit(s) => Some(s),
-            Lookup::Miss => None,
-        };
-        if l1_hit {
-            // Reads complete in the L1. Writes touch the backing L2 line's
-            // coherence state: private only when it stays `Modified` (or is
-            // transiently absent, which the serial path no-ops).
-            if is_write && !matches!(l2_state, Some(Mesi::Modified) | None) {
-                return LaneStep::Park;
-            }
-        } else {
-            match l2_state {
-                Some(Mesi::Modified) => {}
-                Some(_) if !is_write => {}
-                // S/E writes (upgrade or silent-dirty event) and all L2
-                // misses involve global state.
-                _ => return LaneStep::Park,
-            }
-        }
-
-        // Commit — mirrors `MemorySystem::access` for these paths.
-        fx.refs += 1;
-        if is_ifetch {
-            c.stats.ifetch_refs += 1;
-        } else {
-            c.stats.data_refs += 1;
-        }
-        let mut latency = 0u64;
-        let page = cfg.page_size as u64;
-        let vpn = if page.is_power_of_two() {
-            Vpn(va >> page.trailing_zeros())
-        } else {
-            Vpn(va / page)
-        };
-        if !c.tlb.access(vpn) {
-            let penalty = cfg.tlb_miss_cycles();
-            c.stats.tlb_misses += 1;
-            c.stats.tlb_stall_cycles += penalty;
-            latency += penalty;
-            fx.tlb_events.push((now, vpn.0));
-        }
-        let sub = ((pa & (cfg.l2.line_bytes() as u64 - 1)) >> cfg.l1d.line_shift()) as u32;
-
-        if l1_hit {
-            let l1 = if is_ifetch { &mut c.l1i } else { &mut c.l1d };
-            let _ = l1.probe(va_line); // LRU touch the serial hit performs
-            c.stats.l1_hits += 1;
-            if is_write && l2_state == Some(Mesi::Modified) {
-                // `write_touch_in_state` on a Modified line: no state
-                // change, no stall — only the sharing tracker (deferred).
-                fx.writes.push((pa_l2_line, sub));
-            }
-            return LaneStep::Executed {
-                latency,
-                line: pa_l2_line,
-                shadow_miss: false,
-                shadow_evicted: None,
-            };
-        }
-
-        // L1 miss, L2 hit in a state needing no coherence action.
-        let _ = c.l2.probe(pa_l2_line); // LRU touch
-        let (fa_hit, shadow_evicted) = c.shadow.reference_tracked(pa_l2_line);
-        let hit_cycles = cfg.l2_hit_cycles();
-        latency += hit_cycles;
-        c.stats.l2_hits += 1;
-        c.stats.l2_hit_stall_cycles += hit_cycles;
-        if !c.pf_filled.is_empty() && c.pf_filled.remove(pa_l2_line) {
-            c.stats.prefetch_hits += 1;
-        }
-        if is_write {
-            // Modified (classified above): sharing tracker only, no stall.
-            fx.writes.push((pa_l2_line, sub));
-        }
-        fill_l1_cm(cfg, c, va_line, pa, is_ifetch);
-        LaneStep::Executed {
-            latency,
-            line: pa_l2_line,
-            shadow_miss: !fa_hit,
-            shadow_evicted,
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
 struct CpuMem {
     l1d: Cache,
     l1i: Cache,
@@ -375,24 +125,6 @@ struct CpuMem {
     slots: PrefetchSlots,
     stats: CpuStats,
     victim: Option<VictimCache>,
-}
-
-/// A checkpoint of a [`MemorySystem`]'s mutable state, produced by
-/// [`MemorySystem::snapshot`] and consumed by [`MemorySystem::restore`].
-///
-/// Holds deep copies of the per-CPU memory hierarchies, the bus, the
-/// sharing tracker, the coherence directory, and the lifetime reference
-/// counter — everything a subsequent access stream can observe. It holds
-/// *no* configuration and no probe, so one snapshot (typically behind an
-/// `Arc`) can seed any number of systems built from the same config, which
-/// is how checkpoint/fork sweeps replay a shared warm-up prefix.
-#[derive(Debug, Clone)]
-pub struct MemSnapshot {
-    cpus: Vec<CpuMem>,
-    bus: Bus,
-    sharing: SharingTracker,
-    directory: FxMap64<DirEntry>,
-    lifetime_refs: u64,
 }
 
 /// The complete multiprocessor memory system.
@@ -449,7 +181,24 @@ impl<P: Probe> MemorySystem<P> {
             cfg.num_cpus >= 1 && cfg.num_cpus <= 32,
             "1..=32 CPUs supported"
         );
-        let cpus = (0..cfg.num_cpus).map(|_| new_cpu_mem(&cfg)).collect();
+        let cpus = (0..cfg.num_cpus)
+            .map(|_| CpuMem {
+                l1d: Cache::new(cfg.l1d),
+                l1i: Cache::new(cfg.l1i),
+                l2: Cache::new(cfg.l2),
+                tlb: Tlb::new(cfg.tlb_entries),
+                shadow: ShadowCache::new(cfg.l2.num_lines()),
+                seen_lines: DenseSet64::new(),
+                l1_map: FxMap64::new(),
+                inflight: FxMap64::new(),
+                pf_filled: FxSet64::new(),
+                pf_done: Vec::new(),
+                slots: PrefetchSlots::new(cfg.max_outstanding_prefetches),
+                stats: CpuStats::default(),
+                victim: (cfg.victim_cache_lines > 0)
+                    .then(|| VictimCache::new(cfg.victim_cache_lines)),
+            })
+            .collect();
         // `ColorSpace` semantics (l2 / (page × assoc)), but degenerate
         // caches smaller than a page — common in unit tests — get one
         // color instead of a panic.
@@ -509,51 +258,6 @@ impl<P: Probe> MemorySystem<P> {
         self.lifetime_refs
     }
 
-    /// A deep copy of every piece of *mutable* simulation state: per-CPU
-    /// caches/TLBs/shadow state/statistics, the bus, the sharing tracker,
-    /// the coherence directory, and `lifetime_refs`.
-    ///
-    /// Immutable configuration (`MemConfig`, the region map, the color
-    /// count) is deliberately **not** captured — a snapshot only makes
-    /// sense restored into a system built from the same configuration, and
-    /// leaving config out is what lets checkpoints share it structurally
-    /// (callers hold the snapshot behind an `Arc` and clone only mutable
-    /// state per fork). See [`restore`](Self::restore).
-    pub fn snapshot(&self) -> MemSnapshot {
-        MemSnapshot {
-            cpus: self.cpus.clone(),
-            bus: self.bus.clone(),
-            sharing: self.sharing.clone(),
-            directory: self.directory.clone(),
-            lifetime_refs: self.lifetime_refs,
-        }
-    }
-
-    /// Restores mutable state captured by [`snapshot`](Self::snapshot),
-    /// reusing this system's existing allocations where possible.
-    ///
-    /// After `restore`, the system behaves exactly as the snapshotted one
-    /// did: every subsequent access sequence produces bit-identical stats,
-    /// probe events, and bus timings. The probe itself is *not* part of the
-    /// snapshot — it is an observer, not simulation state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this system was built with a different CPU count than the
-    /// snapshotted one (a config mismatch the caller must prevent).
-    pub fn restore(&mut self, snap: &MemSnapshot) {
-        assert_eq!(
-            self.cpus.len(),
-            snap.cpus.len(),
-            "snapshot restored into a system with a different CPU count"
-        );
-        self.cpus.clone_from(&snap.cpus);
-        self.bus.clone_from(&snap.bus);
-        self.sharing.clone_from(&snap.sharing);
-        self.directory.clone_from(&snap.directory);
-        self.lifetime_refs = snap.lifetime_refs;
-    }
-
     /// Snapshot of all statistics.
     pub fn stats(&self) -> MemStats {
         MemStats {
@@ -571,68 +275,6 @@ impl<P: Probe> MemorySystem<P> {
             c.stats = CpuStats::default();
         }
         self.bus = Bus::new();
-    }
-
-    /// Exchanges `cpu`'s private state with `lane` (a constant-time
-    /// structure swap; no cache contents are copied). The engine detaches a
-    /// CPU by swapping in a [`blank_lane`] placeholder and re-attaches it
-    /// by swapping the real lane back. While a placeholder is installed,
-    /// the caller must not route references for `cpu` through this system.
-    pub fn swap_lane(&mut self, cpu: CpuId, lane: &mut Lane) {
-        std::mem::swap(&mut self.cpus[cpu], &mut lane.0);
-    }
-
-    /// Applies (and drains) the deferred side effects of `cpu`'s privately
-    /// executed references. Every buffered effect is commutative across
-    /// CPUs, and the engine applies each CPU's buffer before any reference
-    /// that could observe it, so the resulting state is identical to serial
-    /// execution.
-    pub fn apply_lane_fx(&mut self, cpu: CpuId, fx: &mut LaneFx) {
-        self.lifetime_refs += fx.refs;
-        fx.refs = 0;
-        for &(now, vpn) in &fx.tlb_events {
-            self.probe.on_tlb_miss(cpu, now, vpn);
-        }
-        fx.tlb_events.clear();
-        for &(line, sub) in &fx.writes {
-            self.sharing.on_write(line, cpu, sub);
-        }
-        fx.writes.clear();
-    }
-
-    /// The directory's sharer mask for a line (dirty owners are always
-    /// sharers). The engine uses this to find which CPUs a coherence
-    /// action could touch; private execution never modifies the directory,
-    /// so at a hazard's execution point this is exactly the serial state.
-    pub fn line_holders(&self, pa_l2_line: u64) -> u32 {
-        self.directory.get(pa_l2_line).map_or(0, |e| e.sharers)
-    }
-
-    /// Whether `cpu`'s fully-associative shadow cache currently holds the
-    /// line. Peek-only; the parallel engine reconstructs shadow membership
-    /// at a hazard's serial position from this plus its journals.
-    pub fn shadow_contains(&self, cpu: CpuId, pa_l2_line: u64) -> bool {
-        self.cpus[cpu].shadow.contains(pa_l2_line)
-    }
-
-    /// Whether a demand reference by `cpu` to `pa` can touch state outside
-    /// this CPU's own hierarchy (bus, directory *mutation*, other caches).
-    /// Peek-only; used by the parallel engine to decide if a hazard needs
-    /// its victim gate:
-    ///
-    /// * `Modified`/`Exclusive` hit — reads and writes stay local (an
-    ///   `E → M` upgrade is silent);
-    /// * `Shared` hit — reads stay local, writes broadcast an upgrade that
-    ///   invalidates the other sharers;
-    /// * miss — conservatively cross-CPU (the service path may source
-    ///   from another cache or invalidate sharers; even an own-victim or
-    ///   inflight fill is cheap enough to serialize fully).
-    pub fn demand_interacts(&self, cpu: CpuId, pa: PhysAddr, is_write: bool) -> bool {
-        match self.cpus[cpu].l2.peek(self.cfg.l2.line_of(pa.0)) {
-            Lookup::Hit(Mesi::Modified | Mesi::Exclusive) => false,
-            Lookup::Hit(_) => is_write,
-            Lookup::Miss => true,
-        }
     }
 
     #[inline]
@@ -877,42 +519,16 @@ impl<P: Probe> MemorySystem<P> {
         pa: PhysAddr,
         exclusive: bool,
     ) -> PrefetchOutcome {
-        match self.prefetch_screen(cpu, now, va, pa) {
-            Some(dropped) => dropped,
-            None => self.prefetch_issue(cpu, now, pa, exclusive),
-        }
-    }
-
-    /// The drop-screening half of [`prefetch`](Self::prefetch): TLB check
-    /// (a dropped prefetch on a TLB miss, per the R10000 model) and the
-    /// residency check. Returns the final outcome if the prefetch is
-    /// dropped, `None` if it should proceed to
-    /// [`prefetch_issue`](Self::prefetch_issue).
-    ///
-    /// Split out for the parallel engine: everything here reads and
-    /// writes *only* CPU-local state (TLB peek, this CPU's inflight
-    /// completions, caches, and statistics), so a dropped prefetch needs
-    /// no cross-CPU serialization — while the issue half touches the bus,
-    /// the directory, and possibly other caches. The screen is idempotent
-    /// at a fixed `now` and machine state, so the engine may re-run it
-    /// when its victim gate defers the issue half.
-    pub fn prefetch_screen(
-        &mut self,
-        cpu: CpuId,
-        now: u64,
-        va: VirtAddr,
-        pa: PhysAddr,
-    ) -> Option<PrefetchOutcome> {
         let vpn = self.vpn_of(va.0);
         let pa_l2_line = self.cfg.l2.line_of(pa.0);
         if !self.cpus[cpu].tlb.probe(vpn) {
             self.cpus[cpu].stats.prefetches_dropped_tlb += 1;
             self.probe
                 .on_prefetch_dropped(cpu, now, pa_l2_line, PrefetchDropReason::TlbMiss);
-            return Some(PrefetchOutcome {
+            return PrefetchOutcome {
                 issued: false,
                 stall_cycles: 0,
-            });
+            };
         }
         self.complete_prefetches(cpu, now);
         let resident = matches!(self.cpus[cpu].l2.peek(pa_l2_line), Lookup::Hit(_))
@@ -925,27 +541,11 @@ impl<P: Probe> MemorySystem<P> {
             self.cpus[cpu].stats.prefetches_dropped_resident += 1;
             self.probe
                 .on_prefetch_dropped(cpu, now, pa_l2_line, PrefetchDropReason::Resident);
-            return Some(PrefetchOutcome {
+            return PrefetchOutcome {
                 issued: false,
                 stall_cycles: 0,
-            });
+            };
         }
-        None
-    }
-
-    /// The issue half of [`prefetch`](Self::prefetch): reserves a
-    /// prefetch slot, services the miss over the bus (with coherence
-    /// actions against other caches), and tracks the line as inflight.
-    /// Must only be called after [`prefetch_screen`](Self::prefetch_screen)
-    /// returned `None` at the same `now` and machine state.
-    pub fn prefetch_issue(
-        &mut self,
-        cpu: CpuId,
-        now: u64,
-        pa: PhysAddr,
-        exclusive: bool,
-    ) -> PrefetchOutcome {
-        let pa_l2_line = self.cfg.l2.line_of(pa.0);
         self.lifetime_refs += 1;
         let grant = self.cpus[cpu].slots.reserve(now);
         let issue_at = grant.issue_at;
@@ -1329,7 +929,18 @@ impl<P: Probe> MemorySystem<P> {
     }
 
     fn fill_l1(&mut self, cpu: CpuId, va_line: u64, pa: u64, is_ifetch: bool) {
-        fill_l1_cm(&self.cfg, &mut self.cpus[cpu], va_line, pa, is_ifetch);
+        let pa_sub = self.cfg.l1d.line_of(pa);
+        let c = &mut self.cpus[cpu];
+        let l1 = if is_ifetch { &mut c.l1i } else { &mut c.l1d };
+        if matches!(l1.peek(va_line), Lookup::Hit(_)) {
+            return;
+        }
+        if let Some(evicted) = l1.fill_tagged(va_line, Mesi::Exclusive, pa_sub) {
+            // The way's aux tag is the pa the victim was filled under, so
+            // the stale forward mapping dies without a reverse lookup.
+            c.l1_map.remove(evicted.aux);
+        }
+        c.l1_map.insert(pa_sub, va_line);
     }
 
     /// Applies all prefetch fills whose completion time has passed.
@@ -1419,82 +1030,6 @@ mod tests {
         assert_eq!(out.miss_class, Some(MissClass::Cold));
         assert!(out.tlb_miss);
         assert!(out.latency_cycles >= m.config().mem_latency_cycles());
-    }
-
-    /// Differential check of the engine's core contract: executing every
-    /// lane-eligible reference through [`Lane::access_private`] (with parked
-    /// references replayed through the serial path) produces bit-identical
-    /// latencies, statistics, and coherence state to pure serial execution.
-    #[test]
-    fn lane_private_execution_matches_serial() {
-        // An 8 KB L2 over a 6 KB working set: after warm-up most references
-        // hit (private), while writes on shared lines, upgrades, and the
-        // remaining misses park — both paths get real coverage. The 4-entry
-        // TLB over 6 pages keeps deferred TLB events flowing too.
-        let mut cfg = small_cfg(2);
-        cfg.l2 = crate::config::CacheConfig::new(8192, 128, 1);
-        let mut par = MemorySystem::new(cfg.clone());
-        let mut ser = MemorySystem::new(cfg.clone());
-        let mut lanes = [blank_lane(&cfg), blank_lane(&cfg)];
-        par.swap_lane(0, &mut lanes[0]);
-        par.swap_lane(1, &mut lanes[1]);
-        let mut fx = LaneFx::default();
-        let mut clocks = [0u64; 2];
-        let (mut private, mut parked) = (0u64, 0u64);
-
-        // Deterministic xorshift stream: L1 hits, Modified re-writes,
-        // upgrades, invalidations, and misses all occur.
-        let mut s = 0x9e3779b97f4a7c15u64;
-        for i in 0..20_000 {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            let cpu = (i & 1) as usize;
-            let addr = (s >> 8) % 6144;
-            let kind = match s % 10 {
-                0..=5 => AccessKind::Read,
-                6..=8 => AccessKind::Write,
-                _ => AccessKind::IFetch,
-            };
-            let now = clocks[cpu];
-            let step = lanes[cpu].access_private(&cfg, now, addr, addr, kind, &mut fx);
-            let lat = match step {
-                LaneStep::Executed { latency, .. } => {
-                    private += 1;
-                    // The test runs in exact serial order, so applying each
-                    // reference's effects immediately is the serial schedule.
-                    par.apply_lane_fx(cpu, &mut fx);
-                    latency
-                }
-                LaneStep::Park => {
-                    parked += 1;
-                    // A parked reference may touch the other CPU's caches
-                    // (invalidation, downgrade), so both lanes re-attach —
-                    // the engine's "victims are parked" invariant.
-                    par.swap_lane(0, &mut lanes[0]);
-                    par.swap_lane(1, &mut lanes[1]);
-                    let out = par.access(cpu, now, va(addr), pa(addr), kind);
-                    par.swap_lane(0, &mut lanes[0]);
-                    par.swap_lane(1, &mut lanes[1]);
-                    out.latency_cycles
-                }
-            };
-            let ser_out = ser.access(cpu, now, va(addr), pa(addr), kind);
-            assert_eq!(lat, ser_out.latency_cycles, "ref {i} latency diverged");
-            clocks[cpu] += lat + 1;
-        }
-        assert!(private > 1000, "lane path barely exercised: {private}");
-        assert!(parked > 1000, "park path barely exercised: {parked}");
-
-        par.swap_lane(0, &mut lanes[0]);
-        par.swap_lane(1, &mut lanes[1]);
-        par.validate_coherence();
-        assert_eq!(par.lifetime_refs(), ser.lifetime_refs());
-        assert_eq!(
-            format!("{:?}", par.stats()),
-            format!("{:?}", ser.stats()),
-            "statistics diverged between lane and serial execution"
-        );
     }
 
     #[test]
@@ -1874,62 +1409,6 @@ mod tests {
         m.reset_stats();
         m.access(0, 1000, va(0x2000), pa(0x2000), AccessKind::Read);
         assert_eq!(m.lifetime_refs(), 3, "1 ref + 1 issued prefetch + 1 ref");
-    }
-
-    #[test]
-    fn snapshot_restore_replays_identically() {
-        // Warm a 2-CPU system with a mixed access pattern, snapshot it,
-        // then run the same tail twice — once on the original, once on a
-        // fresh system seeded from the snapshot. Stats, lifetime refs, and
-        // per-access outcomes must match exactly.
-        let tail = |m: &mut MemorySystem| {
-            let mut outs = Vec::new();
-            for i in 0..64u64 {
-                let a = 0x1000 + (i % 7) * 0x480;
-                let kind = if i % 3 == 0 {
-                    AccessKind::Write
-                } else {
-                    AccessKind::Read
-                };
-                outs.push(m.access((i % 2) as usize, 10_000 + i * 13, va(a), pa(a), kind));
-            }
-            outs
-        };
-        let mut warm = MemorySystem::new(small_cfg(2));
-        for i in 0..48u64 {
-            let a = 0x2000 + (i % 11) * 0x100;
-            warm.access((i % 2) as usize, i * 17, va(a), pa(a), AccessKind::Read);
-        }
-        warm.prefetch(1, 900, va(0x7000), pa(0x7000), false);
-        let snap = snapshot_of(&warm);
-
-        let mut forked = MemorySystem::new(small_cfg(2));
-        // Dirty the fork first so restore provably overwrites, not merges.
-        forked.access(0, 0, va(0x9000), pa(0x9000), AccessKind::Write);
-        forked.restore(&snap);
-        assert_eq!(forked.lifetime_refs(), warm.lifetime_refs());
-        assert_eq!(forked.stats(), warm.stats());
-
-        let straight = tail(&mut warm);
-        let replayed = tail(&mut forked);
-        assert_eq!(straight, replayed, "per-access outcomes diverged");
-        assert_eq!(forked.stats(), warm.stats(), "stats diverged after tail");
-        assert_eq!(forked.lifetime_refs(), warm.lifetime_refs());
-    }
-
-    fn snapshot_of(m: &MemorySystem) -> MemSnapshot {
-        // Round-trip through a clone to make sure the snapshot itself is
-        // self-contained (no hidden aliasing into the source system).
-        m.snapshot().clone()
-    }
-
-    #[test]
-    #[should_panic(expected = "different CPU count")]
-    fn restore_rejects_topology_mismatch() {
-        let warm = MemorySystem::new(small_cfg(2));
-        let snap = warm.snapshot();
-        let mut other = MemorySystem::new(small_cfg(4));
-        other.restore(&snap);
     }
 
     #[test]

@@ -433,15 +433,6 @@ impl AttributionProbe {
 }
 
 impl Probe for AttributionProbe {
-    // The exported report includes the run-loop batch-size histogram, so
-    // the parallel engine must replay the serial batching discipline when
-    // this probe is attached.
-    const BATCH_SENSITIVE: bool = true;
-
-    fn on_engine_restart(&mut self) {
-        self.reset();
-    }
-
     #[inline]
     fn on_classified_miss(
         &mut self,

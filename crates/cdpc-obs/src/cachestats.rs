@@ -1,9 +1,8 @@
 //! Counters for the sweep memoization layer.
 //!
-//! The sweep executor (`cdpc-machine::sweep`) can satisfy a job four ways:
-//! run it, reuse another identical job's result from the same sweep
-//! (*dedup*), replay a shared warm-up checkpoint and run only the measured
-//! tail (*fork*), or load a prior run's report from the persistent result
+//! The sweep executor (`cdpc-machine::sweep`) can satisfy a job three
+//! ways: run it, reuse another identical job's result from the same sweep
+//! (*dedup*), or load a prior run's report from the persistent result
 //! cache (*hit*). [`SweepCacheStats`] tallies which path each job took so
 //! every sweep can report — and CI can assert — how much simulation work
 //! memoization actually removed.
@@ -29,11 +28,6 @@ pub struct SweepCacheStats {
     /// Jobs that were byte-identical to an earlier job in the same sweep
     /// and reused its in-process result.
     pub deduped: u64,
-    /// Jobs whose measured pass replayed a shared warm-up checkpoint
-    /// instead of re-simulating the warm-up prefix. (Also counted in
-    /// `misses` — forking changes how a miss executes, not whether it was
-    /// one.)
-    pub forked: u64,
 }
 
 impl SweepCacheStats {
@@ -59,22 +53,20 @@ impl SweepCacheStats {
         self.misses += other.misses;
         self.bypassed += other.bypassed;
         self.deduped += other.deduped;
-        self.forked += other.forked;
     }
 
     /// The one-line summary printed to stderr after each sweep, e.g.
-    /// `hits=12 misses=3 bypassed=0 deduped=5 forked=2 (15/20 simulated)`.
+    /// `hits=12 misses=3 bypassed=0 deduped=5 (3/20 simulated)`.
     ///
     /// Stable format: CI greps it (`misses=0` asserts a fully warm cache),
     /// so field order and spelling are load-bearing.
     pub fn summary_line(&self) -> String {
         format!(
-            "hits={} misses={} bypassed={} deduped={} forked={} ({}/{} simulated)",
+            "hits={} misses={} bypassed={} deduped={} ({}/{} simulated)",
             self.hits,
             self.misses,
             self.bypassed,
             self.deduped,
-            self.forked,
             self.misses + self.bypassed,
             self.total(),
         )
@@ -92,7 +84,6 @@ mod tests {
             misses: 3,
             bypassed: 1,
             deduped: 5,
-            forked: 2,
         };
         assert_eq!(s.total(), 21);
         assert_eq!(s.avoided(), 17);
@@ -105,14 +96,12 @@ mod tests {
             misses: 2,
             bypassed: 3,
             deduped: 4,
-            forked: 1,
         };
         let b = SweepCacheStats {
             hits: 10,
             misses: 20,
             bypassed: 30,
             deduped: 40,
-            forked: 5,
         };
         a.merge(&b);
         assert_eq!(
@@ -122,7 +111,6 @@ mod tests {
                 misses: 22,
                 bypassed: 33,
                 deduped: 44,
-                forked: 6,
             }
         );
     }
@@ -136,11 +124,10 @@ mod tests {
             misses: 0,
             bypassed: 1,
             deduped: 5,
-            forked: 0,
         };
         assert_eq!(
             s.summary_line(),
-            "hits=12 misses=0 bypassed=1 deduped=5 forked=0 (1/18 simulated)"
+            "hits=12 misses=0 bypassed=1 deduped=5 (1/18 simulated)"
         );
     }
 

@@ -20,7 +20,7 @@
 //!   exactly, plus per-color occupancy/pressure series.
 //! * [`cachestats`] — [`SweepCacheStats`](cachestats::SweepCacheStats)
 //!   counters for the sweep memoization layer: cache hits/misses, bypassed
-//!   (observed) jobs, in-sweep dedups, and warm-checkpoint forks.
+//!   (observed) jobs, and in-sweep dedups.
 //! * [`sampler`] — interval metrics: [`Sample`](sampler::Sample) rows of
 //!   stall-cycle, miss-class, and bus-occupancy deltas over fixed windows
 //!   of simulated cycles, collected into an

@@ -70,11 +70,7 @@ use policy::MappingPolicy;
 /// first-touch of a virtual page raises a fault, the fault consults the
 /// mapping policy for a preferred color, and the physical allocator tries to
 /// honor that color.
-///
-/// `Clone` performs a deep copy (page table, physical allocator state, and
-/// fault counters) — warm-run checkpoints rely on it to snapshot and replay
-/// the VM exactly.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct AddressSpace {
     geometry: PageGeometry,
     colors: ColorSpace,

@@ -47,15 +47,6 @@ pub trait MappingPolicy {
     fn hint_lookup_stats(&self) -> Option<(u64, u64)> {
         None
     }
-
-    /// A deep copy of this policy behind a thread-shareable box.
-    ///
-    /// Checkpoint/fork sweeps (see `cdpc-machine`) capture the policy's
-    /// state after the warm-up pass and replay it on every fork, possibly
-    /// from a different thread — so the clone must carry all mutable state
-    /// (bin hopping's cursor and RNG, hint-lookup counters) and be
-    /// `Send + Sync`.
-    fn clone_box(&self) -> Box<dyn MappingPolicy + Send + Sync>;
 }
 
 /// IRIX-style page coloring: `color = vpn mod num_colors`.
@@ -78,10 +69,6 @@ impl MappingPolicy for PageColoring {
 
     fn name(&self) -> &'static str {
         "page-coloring"
-    }
-
-    fn clone_box(&self) -> Box<dyn MappingPolicy + Send + Sync> {
-        Box::new(*self)
     }
 }
 
@@ -153,10 +140,6 @@ impl MappingPolicy for BinHopping {
     fn name(&self) -> &'static str {
         "bin-hopping"
     }
-
-    fn clone_box(&self) -> Box<dyn MappingPolicy + Send + Sync> {
-        Box::new(self.clone())
-    }
 }
 
 /// Compiler-directed page coloring: hints first, base policy otherwise.
@@ -192,10 +175,7 @@ impl<P: MappingPolicy> CdpcPolicy<P> {
     }
 }
 
-impl<P> MappingPolicy for CdpcPolicy<P>
-where
-    P: MappingPolicy + Clone + Send + Sync + 'static,
-{
+impl<P: MappingPolicy> MappingPolicy for CdpcPolicy<P> {
     fn preferred_color(&mut self, vpn: Vpn) -> Option<Color> {
         match self.hints.lookup(vpn) {
             Some(color) => Some(color),
@@ -209,10 +189,6 @@ where
 
     fn hint_lookup_stats(&self) -> Option<(u64, u64)> {
         Some(self.hints.lookup_stats())
-    }
-
-    fn clone_box(&self) -> Box<dyn MappingPolicy + Send + Sync> {
-        Box::new(self.clone())
     }
 }
 
@@ -228,10 +204,6 @@ impl MappingPolicy for NoPreference {
 
     fn name(&self) -> &'static str {
         "no-preference"
-    }
-
-    fn clone_box(&self) -> Box<dyn MappingPolicy + Send + Sync> {
-        Box::new(*self)
     }
 }
 
@@ -257,10 +229,6 @@ impl MappingPolicy for FixedColor {
     fn name(&self) -> &'static str {
         "fixed-color"
     }
-
-    fn clone_box(&self) -> Box<dyn MappingPolicy + Send + Sync> {
-        Box::new(*self)
-    }
 }
 
 impl<P: MappingPolicy + ?Sized> MappingPolicy for Box<P> {
@@ -278,10 +246,6 @@ impl<P: MappingPolicy + ?Sized> MappingPolicy for Box<P> {
 
     fn hint_lookup_stats(&self) -> Option<(u64, u64)> {
         (**self).hint_lookup_stats()
-    }
-
-    fn clone_box(&self) -> Box<dyn MappingPolicy + Send + Sync> {
-        (**self).clone_box()
     }
 }
 
@@ -358,37 +322,5 @@ mod tests {
     #[test]
     fn no_preference_declines() {
         assert_eq!(NoPreference.preferred_color(Vpn(1)), None);
-    }
-
-    #[test]
-    fn clone_box_carries_mutable_state() {
-        // Bin hopping's cursor and RNG are the interesting state: a clone
-        // taken mid-sequence must continue exactly where the original was,
-        // while the original keeps its own stream.
-        let mut p = BinHopping::with_race_perturbation(colors(), 3, 42);
-        for i in 0..10 {
-            p.preferred_color(Vpn(i));
-        }
-        let mut forked = p.clone_box();
-        let from_fork: Vec<_> = (0..16).map(|i| forked.preferred_color(Vpn(i))).collect();
-        let from_orig: Vec<_> = (0..16).map(|i| p.preferred_color(Vpn(i))).collect();
-        assert_eq!(from_fork, from_orig);
-        assert_eq!(forked.name(), "bin-hopping");
-    }
-
-    #[test]
-    fn clone_box_is_send_sync() {
-        fn takes_shareable<T: Send + Sync + ?Sized>(_: &T) {}
-        let mut hints = HintTable::new();
-        hints.advise(Vpn(5), Color(3));
-        let p = CdpcPolicy::new(hints, PageColoring::new(colors()));
-        let boxed = p.clone_box();
-        takes_shareable(&*boxed);
-        // Hint-lookup counters travel with the clone.
-        let mut q = p.clone_box();
-        q.preferred_color(Vpn(5));
-        q.preferred_color(Vpn(9));
-        assert_eq!(q.hint_lookup_stats(), Some((2, 1)));
-        assert_eq!(p.hint_lookup_stats(), Some((0, 0)));
     }
 }
