@@ -20,8 +20,8 @@
 //! simulator is deterministic, so quick-mode output is byte-stable and
 //! diffable against a golden file).
 
-use cdpc_bench::Setup;
-use cdpc_machine::{summary_line, PolicyKind};
+use cdpc_bench::{exit_usage, run_positionals, Setup};
+use cdpc_machine::summary_line;
 
 const USAGE: &str = "usage: attrib <benchmark> [cpus] [policy] [--scale N | --quick] \
                      [--attrib <path>] [--top] [--threads N]\n  \
@@ -32,19 +32,19 @@ fn main() {
     let mut setup = Setup::default();
     let mut positional: Vec<String> = Vec::new();
     let mut i = 0;
-    let value = |args: &[String], i: usize, flag: &str| -> String {
+    let value = |i: usize, flag: &str| -> String {
         args.get(i + 1)
-            .unwrap_or_else(|| panic!("{flag} needs a value\n{USAGE}"))
-            .clone()
+            .cloned()
+            .unwrap_or_else(|| exit_usage(&format!("{flag} needs a value"), USAGE))
     };
     while i < args.len() {
         match args[i].as_str() {
             "--scale" => {
-                let v = value(&args, i, "--scale")
-                    .parse::<u64>()
-                    .unwrap_or_else(|_| panic!("--scale needs a power-of-two value"));
-                assert!(v.is_power_of_two(), "--scale must be a power of two");
-                setup.scale = v;
+                let v = value(i, "--scale");
+                setup.scale = match v.parse::<u64>() {
+                    Ok(n) if n.is_power_of_two() => n,
+                    _ => exit_usage(&format!("--scale must be a power of two, got `{v}`"), USAGE),
+                };
                 i += 2;
             }
             "--quick" => {
@@ -52,7 +52,7 @@ fn main() {
                 i += 1;
             }
             "--attrib" => {
-                setup.obs.attrib = Some(value(&args, i, "--attrib").into());
+                setup.obs.attrib = Some(value(i, "--attrib").into());
                 i += 2;
             }
             "--top" => {
@@ -60,13 +60,16 @@ fn main() {
                 i += 1;
             }
             "--threads" => {
-                setup.threads = value(&args, i, "--threads")
-                    .parse()
-                    .unwrap_or_else(|_| panic!("--threads needs a thread count"));
+                let v = value(i, "--threads");
+                setup.threads = v.parse().unwrap_or_else(|_| {
+                    exit_usage(&format!("--threads needs a thread count, got `{v}`"), USAGE)
+                });
                 i += 2;
             }
+            other if other.starts_with("--") => {
+                exit_usage(&format!("unknown flag `{other}`"), USAGE)
+            }
             other => {
-                assert!(!other.starts_with("--"), "unknown flag `{other}`\n{USAGE}");
                 positional.push(other.to_string());
                 i += 1;
             }
@@ -76,33 +79,7 @@ fn main() {
     if setup.obs.attrib.is_none() {
         setup.obs.top = true;
     }
-
-    let bench_name = positional.first().cloned().unwrap_or_else(|| {
-        eprintln!("{USAGE}");
-        std::process::exit(2);
-    });
-    let cpus: usize = positional
-        .get(1)
-        .map(|s| s.parse().expect("cpus must be a number"))
-        .unwrap_or(8);
-    let policy = match positional.get(2).map(String::as_str).unwrap_or("cdpc") {
-        "page-coloring" | "pc" => PolicyKind::PageColoring,
-        "bin-hopping" | "bh" => PolicyKind::BinHopping,
-        "cdpc" => PolicyKind::Cdpc,
-        "cdpc-touch" => PolicyKind::CdpcTouch,
-        "dynamic-recolor" | "dynamic" => PolicyKind::DynamicRecolor,
-        other => {
-            eprintln!("unknown policy `{other}`\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
-    let bench = cdpc_workloads::by_name(&bench_name).unwrap_or_else(|| {
-        eprintln!("unknown benchmark `{bench_name}`; try one of:");
-        for b in cdpc_workloads::all() {
-            eprintln!("  {}", b.name);
-        }
-        std::process::exit(2);
-    });
+    let (bench, cpus, policy) = run_positionals(&positional, USAGE);
 
     let report = setup.run_bench(
         &bench,

@@ -24,7 +24,7 @@
 //! is the schema and the simulated-side numbers (`simulated_refs`,
 //! `simulated_cycles`, `events`), which are deterministic.
 
-use cdpc_bench::{Preset, Setup};
+use cdpc_bench::{exit_usage, Preset, Setup};
 use cdpc_compiler::ir::AccessPattern;
 use cdpc_compiler::locality::AccessPrefetch;
 use cdpc_compiler::trace::{OpSpec, ResolvedAccess, TraceOp};
@@ -37,6 +37,8 @@ use cdpc_obs::{CountingProbe, JsonValue, Probe};
 use cdpc_vm::addr::{PhysAddr, VirtAddr};
 
 const SNAPSHOT_PATH: &str = "results/bench_snapshot.json";
+
+const USAGE: &str = "usage: bench_snapshot [--write | --quick] [--check] [--threads N]";
 
 /// Throughput below `committed * (1 - REGRESSION_TOLERANCE)` fails
 /// `--check`. The band is wide on purpose: shared CI runners (and the
@@ -379,24 +381,21 @@ fn main() {
             "--check" => check = true,
             "--threads" => {
                 i += 1;
-                let v = args
-                    .get(i)
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .unwrap_or_else(|| panic!("--threads needs a thread count"));
-                assert!(v >= 1, "--threads must be at least 1");
-                setup.threads = v;
+                setup.threads = match args.get(i).map(|v| v.parse::<usize>()) {
+                    Some(Ok(v)) if v >= 1 => v,
+                    _ => exit_usage("--threads needs a thread count of at least 1", USAGE),
+                };
             }
-            other => panic!(
-                "unknown argument `{other}` (supported: --write, --quick, --check, \
-                 --threads N)"
-            ),
+            other => exit_usage(&format!("unknown argument `{other}`"), USAGE),
         }
         i += 1;
     }
-    assert!(
-        !(quick && write),
-        "--quick skips the workload profiles; refusing to overwrite the full snapshot"
-    );
+    if quick && write {
+        exit_usage(
+            "--quick skips the workload profiles; refusing to overwrite the full snapshot",
+            USAGE,
+        );
+    }
     let cpus = 8;
 
     let micro = run_microbench(&setup);

@@ -10,7 +10,7 @@
 //! ```
 
 use cdpc_bench::{Preset, Setup};
-use cdpc_machine::{render_report, PolicyKind};
+use cdpc_machine::render_report;
 
 fn main() {
     let (setup, positional) = Setup::from_args_with_positionals();
@@ -18,33 +18,7 @@ fn main() {
                  [--json <path>] [--trace <path>] [--series <path>] \
                  [--sample-interval <cycles>]\n  \
                  policies: page-coloring | bin-hopping | cdpc | cdpc-touch | dynamic-recolor";
-    let bench_name = positional.first().cloned().unwrap_or_else(|| {
-        eprintln!("{usage}");
-        std::process::exit(2);
-    });
-    let cpus: usize = positional
-        .get(1)
-        .map(|s| s.parse().expect("cpus must be a number"))
-        .unwrap_or(8);
-    let policy = match positional.get(2).map(String::as_str).unwrap_or("cdpc") {
-        "page-coloring" | "pc" => PolicyKind::PageColoring,
-        "bin-hopping" | "bh" => PolicyKind::BinHopping,
-        "cdpc" => PolicyKind::Cdpc,
-        "cdpc-touch" => PolicyKind::CdpcTouch,
-        "dynamic-recolor" | "dynamic" => PolicyKind::DynamicRecolor,
-        other => {
-            eprintln!("unknown policy `{other}`\n{usage}");
-            std::process::exit(2);
-        }
-    };
-
-    let bench = cdpc_workloads::by_name(&bench_name).unwrap_or_else(|| {
-        eprintln!("unknown benchmark `{bench_name}`; try one of:");
-        for b in cdpc_workloads::all() {
-            eprintln!("  {}", b.name);
-        }
-        std::process::exit(2);
-    });
+    let (bench, cpus, policy) = cdpc_bench::run_positionals(&positional, usage);
     let report = setup.run_bench(&bench, Preset::Base1MbDm, cpus, policy, false, true);
     print!("{}", render_report(&report));
 }

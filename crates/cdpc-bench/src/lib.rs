@@ -702,11 +702,55 @@ fn number<T: std::str::FromStr>(v: &str, flag: &str) -> Result<T, String> {
 }
 
 /// Prints a command-line error and the flag usage to stderr, then exits
-/// with status 2 (the usage-error convention the positional-argument
-/// binaries follow too).
+/// with status 2.
 fn usage_error(msg: &str) -> ! {
-    eprintln!("error: {msg}\n{FLAG_USAGE}");
+    exit_usage(msg, FLAG_USAGE)
+}
+
+/// Prints `error: <msg>` and a binary's `usage` text to stderr, then exits
+/// with status 2 — the usage-error convention of every binary here.
+pub fn exit_usage(msg: &str, usage: &str) -> ! {
+    eprintln!("error: {msg}\n{usage}");
     std::process::exit(2)
+}
+
+/// Parses the `<benchmark> [cpus] [policy]` positionals of the single-run
+/// binaries (`inspect`, `attrib`); cpus default to 8 and the policy to
+/// CDPC. A missing or unknown benchmark, a CPU count outside the memory
+/// system's 1..=32, or an unknown policy prints the error and `usage` and
+/// exits with status 2.
+pub fn run_positionals(positional: &[String], usage: &str) -> (Benchmark, usize, PolicyKind) {
+    let Some(bench_name) = positional.first() else {
+        eprintln!("{usage}");
+        std::process::exit(2);
+    };
+    let cpus = match positional.get(1).map(|s| s.parse::<usize>()) {
+        None => 8,
+        Some(Ok(n)) if (1..=32).contains(&n) => n,
+        Some(_) => exit_usage(
+            &format!(
+                "cpus must be a number from 1 to 32, got `{}`",
+                positional[1]
+            ),
+            usage,
+        ),
+    };
+    let policy = match positional.get(2).map(String::as_str).unwrap_or("cdpc") {
+        "page-coloring" | "pc" => PolicyKind::PageColoring,
+        "bin-hopping" | "bh" => PolicyKind::BinHopping,
+        "cdpc" => PolicyKind::Cdpc,
+        "cdpc-touch" => PolicyKind::CdpcTouch,
+        "dynamic-recolor" | "dynamic" => PolicyKind::DynamicRecolor,
+        other => exit_usage(&format!("unknown policy `{other}`"), usage),
+    };
+    let bench = cdpc_workloads::by_name(bench_name).unwrap_or_else(|| {
+        eprintln!("unknown benchmark `{bench_name}`; try one of:");
+        for b in cdpc_workloads::all() {
+            eprintln!("  {}", b.name);
+        }
+        std::process::exit(2);
+    });
+    (bench, cpus, policy)
 }
 
 /// Text-table helpers shared by the experiment binaries.

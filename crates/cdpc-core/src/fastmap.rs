@@ -1,14 +1,20 @@
-//! A small open-addressing hash map and set specialized for `u64` keys.
+//! Maps and sets specialized for `u64` keys: an open-addressing hash map
+//! and set, and dense direct-indexed tables for small identifiers.
 //!
-//! The simulator's per-reference hot path (directory lookups, L1 line maps,
-//! in-flight miss tables) hammers small-to-medium maps keyed by line or
-//! page addresses. `std::collections::HashMap` defaults to SipHash-1-3,
-//! which is DoS-resistant but costs tens of cycles per lookup — far more
-//! than the probe itself. [`FxMap64`] uses the Firefox/rustc "Fx" multiply
-//! hash (one wrapping multiply by a 64-bit odd constant) with power-of-two
-//! capacity, linear probing, and tombstones. Keys here are simulated
-//! addresses, not attacker-controlled input, so hash-flooding resistance
-//! buys nothing.
+//! The simulator's per-reference hot path (coherence directory, shadow
+//! cache, TLB, in-flight miss tables) hammers small-to-medium maps keyed by
+//! line or page addresses. `std::collections::HashMap` defaults to
+//! SipHash-1-3, which is DoS-resistant but costs tens of cycles per lookup
+//! — far more than the probe itself. [`FxMap64`] uses the Firefox/rustc
+//! "Fx" multiply hash (one wrapping multiply by a 64-bit odd constant) with
+//! power-of-two capacity, linear probing, and tombstones. Keys here are
+//! simulated addresses, not attacker-controlled input, so hash-flooding
+//! resistance buys nothing.
+//!
+//! When the keys are *dense* — physical line numbers, page numbers — even
+//! one hash probe is wasted work: [`DenseMap64`] and [`DenseSet64`] index a
+//! plain vector by the key itself and keep the hash structures only as a
+//! spill for rare outliers.
 //!
 //! Iteration order is **slot order** (a function of the key hashes and the
 //! insertion history), which is stable for a given sequence of operations —
@@ -43,7 +49,7 @@ enum Slot {
 /// [`get`](FxMap64::get), [`get_mut`](FxMap64::get_mut),
 /// [`insert`](FxMap64::insert), [`remove`](FxMap64::remove),
 /// [`entry_or_insert_with`](FxMap64::entry_or_insert_with),
-/// [`iter`](FxMap64::iter), [`retain`](FxMap64::retain).
+/// [`iter`](FxMap64::iter), [`iter_mut`](FxMap64::iter_mut).
 #[derive(Debug, Clone)]
 pub struct FxMap64<V> {
     /// Key slots; `values[i]` is meaningful only when `slots[i]` is `Full`.
@@ -267,19 +273,6 @@ impl<V> FxMap64<V> {
             })
     }
 
-    /// Keeps only the entries for which `f` returns `true`.
-    pub fn retain<F: FnMut(u64, &mut V) -> bool>(&mut self, mut f: F) {
-        for i in 0..self.slots.len() {
-            if let Slot::Full(k) = self.slots[i] {
-                if !f(k, self.values[i].as_mut().unwrap()) {
-                    self.slots[i] = Slot::Tombstone;
-                    self.values[i] = None;
-                    self.len -= 1;
-                }
-            }
-        }
-    }
-
     /// Removes all entries, keeping the allocation.
     pub fn clear(&mut self) {
         for s in &mut self.slots {
@@ -449,6 +442,159 @@ impl DenseSet64 {
     }
 }
 
+/// Keys whose dense index (`key >> shift`) is below this live in
+/// [`DenseMap64`]'s vector; larger ones spill to a hash map. A key just
+/// under the limit grows the vector to 4 Mi slots — 16 MB of 4-byte
+/// slots — while covering 512 MB of physical memory at 128-byte lines,
+/// far beyond any simulated footprint.
+const DENSE_MAP_LIMIT: u64 = 1 << 22;
+
+/// A map from small-ish `u64` keys to `V`: a growable vector indexed by
+/// `key >> shift`, with an [`FxMap64`] spill for every other key.
+///
+/// The map-shaped sibling of [`DenseSet64`], for tables keyed by dense
+/// identifiers on the per-reference path: line addresses (with `shift` =
+/// the line shift, so consecutive lines take consecutive slots) and page
+/// numbers (`shift` 0). A lookup is one bounds check and one load — no
+/// hashing. A key lands in the vector only when its low `shift` bits are
+/// zero and its index is below the dense limit; anything else (an
+/// unaligned key, a hog page parked near `u64::MAX / 2`) takes the spill
+/// path and costs one hash probe, so every `u64` key works. The vector
+/// grows only to the largest dense index inserted.
+///
+/// Iteration visits dense keys in increasing order, then spilled keys in
+/// slot order.
+#[derive(Debug, Clone)]
+pub struct DenseMap64<V> {
+    shift: u32,
+    /// `slots[k >> shift]` holds the value of dense key `k`.
+    slots: Vec<Option<V>>,
+    /// Keys that are unaligned or at or above the dense limit.
+    spill: FxMap64<V>,
+    /// Total entry count across both regions.
+    len: usize,
+}
+
+impl<V> DenseMap64<V> {
+    /// Creates an empty map whose dense keys are multiples of
+    /// `1 << shift`. Does not allocate until the first insert.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shift` is 64 or more.
+    pub fn new(shift: u32) -> Self {
+        assert!(shift < 64, "shift must be below 64");
+        Self {
+            shift,
+            slots: Vec::new(),
+            spill: FxMap64::new(),
+            len: 0,
+        }
+    }
+
+    /// Number of entries.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the map is empty.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The vector slot of `key`, or `None` when it belongs to the spill.
+    #[inline]
+    fn dense_index(&self, key: u64) -> Option<usize> {
+        let idx = key >> self.shift;
+        (idx < DENSE_MAP_LIMIT && idx << self.shift == key).then_some(idx as usize)
+    }
+
+    /// Returns a reference to the value for `key`.
+    #[inline]
+    pub fn get(&self, key: u64) -> Option<&V> {
+        match self.dense_index(key) {
+            Some(i) => self.slots.get(i).and_then(Option::as_ref),
+            None => self.spill.get(key),
+        }
+    }
+
+    /// Returns a mutable reference to the value for `key`.
+    #[inline]
+    pub fn get_mut(&mut self, key: u64) -> Option<&mut V> {
+        match self.dense_index(key) {
+            Some(i) => self.slots.get_mut(i).and_then(Option::as_mut),
+            None => self.spill.get_mut(key),
+        }
+    }
+
+    /// Whether `key` is present.
+    #[inline]
+    pub fn contains_key(&self, key: u64) -> bool {
+        self.get(key).is_some()
+    }
+
+    /// Inserts `key → value`, returning the previous value if any.
+    #[inline]
+    pub fn insert(&mut self, key: u64, value: V) -> Option<V> {
+        let old = match self.dense_index(key) {
+            Some(i) => grow_to(&mut self.slots, i).replace(value),
+            None => self.spill.insert(key, value),
+        };
+        self.len += old.is_none() as usize;
+        old
+    }
+
+    /// Removes `key`, returning its value if it was present.
+    #[inline]
+    pub fn remove(&mut self, key: u64) -> Option<V> {
+        let old = match self.dense_index(key) {
+            Some(i) => self.slots.get_mut(i).and_then(Option::take),
+            None => self.spill.remove(key),
+        };
+        self.len -= old.is_some() as usize;
+        old
+    }
+
+    /// Returns a mutable reference to the value for `key`, inserting
+    /// `default()` first if absent.
+    #[inline]
+    pub fn entry_or_insert_with<F: FnOnce() -> V>(&mut self, key: u64, default: F) -> &mut V {
+        match self.dense_index(key) {
+            Some(i) => {
+                let slot = grow_to(&mut self.slots, i);
+                self.len += slot.is_none() as usize;
+                slot.get_or_insert_with(default)
+            }
+            None => {
+                self.len += !self.spill.contains_key(key) as usize;
+                self.spill.entry_or_insert_with(key, default)
+            }
+        }
+    }
+
+    /// Iterates `(key, &value)` pairs: dense keys in increasing order, then
+    /// spilled keys in slot order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> + '_ {
+        let shift = self.shift;
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(move |(i, v)| v.as_ref().map(|v| ((i as u64) << shift, v)))
+            .chain(self.spill.iter())
+    }
+}
+
+/// Slot `idx` of `slots`, growing the vector with vacant slots to reach it.
+#[inline]
+fn grow_to<V>(slots: &mut Vec<Option<V>>, idx: usize) -> &mut Option<V> {
+    if idx >= slots.len() {
+        slots.resize_with(idx + 1, || None);
+    }
+    &mut slots[idx]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -567,7 +713,7 @@ mod tests {
     }
 
     #[test]
-    fn iter_mut_and_retain() {
+    fn iter_mut_updates_every_value() {
         let mut m = FxMap64::new();
         for k in 0..10u64 {
             m.insert(k, k as u32);
@@ -575,10 +721,10 @@ mod tests {
         for (_, v) in m.iter_mut() {
             *v *= 2;
         }
-        m.retain(|k, _| k % 2 == 0);
-        assert_eq!(m.len(), 5);
-        assert_eq!(m.get(4), Some(&8));
-        assert_eq!(m.get(5), None);
+        assert_eq!(m.len(), 10);
+        for k in 0..10u64 {
+            assert_eq!(m.get(k), Some(&(2 * k as u32)));
+        }
     }
 
     #[test]
@@ -689,5 +835,101 @@ mod tests {
             assert!(s.contains(k), "{k} must be a member");
         }
         assert!(!s.contains(10_000));
+    }
+
+    /// One key from the mix the differential test draws: aligned dense
+    /// keys (hot), keys at the vector's current growth boundary,
+    /// unaligned keys, keys at and past the dense limit, and hog-style
+    /// keys near `u64::MAX / 2` and `u64::MAX`. Keys just *below* the limit
+    /// are left to `dense_map_limit_boundary`, which pays for the one big
+    /// allocation they cost.
+    fn mixed_key(rng: &mut cdpc_obs::SplitMix64, shift: u32, dense_len: usize) -> u64 {
+        match rng.below(8) {
+            0..=2 => rng.below(64) << shift,
+            3 => (dense_len as u64 + rng.below(3)).saturating_sub(1) << shift,
+            4 if shift > 0 => (rng.below(64) << shift) | (1 + rng.below((1 << shift) - 1)),
+            5 => (DENSE_MAP_LIMIT + rng.below(4))
+                .checked_shl(shift)
+                .unwrap_or(u64::MAX),
+            6 => u64::MAX / 2 + rng.below(8),
+            _ => u64::MAX - rng.below(4),
+        }
+    }
+
+    #[test]
+    fn dense_map_matches_fx_map_on_random_operations() {
+        for seed in 0..200u64 {
+            let mut rng = cdpc_obs::SplitMix64::new(seed);
+            let shift = [0, 3, 7, 12][seed as usize % 4];
+            let mut dense: DenseMap64<u64> = DenseMap64::new(shift);
+            let mut reference: FxMap64<u64> = FxMap64::new();
+            for step in 0..400 {
+                let key = mixed_key(&mut rng, shift, dense.slots.len());
+                let value = rng.next_u64();
+                let ctx = format!("seed {seed} step {step} key {key:#x}");
+                match rng.below(6) {
+                    0 => assert_eq!(dense.get(key), reference.get(key), "get: {ctx}"),
+                    1 => assert_eq!(
+                        dense.insert(key, value),
+                        reference.insert(key, value),
+                        "insert: {ctx}"
+                    ),
+                    2 => assert_eq!(dense.remove(key), reference.remove(key), "remove: {ctx}"),
+                    3 => {
+                        *dense.entry_or_insert_with(key, || value) += 1;
+                        *reference.entry_or_insert_with(key, || value) += 1;
+                    }
+                    4 => {
+                        if let Some(v) = dense.get_mut(key) {
+                            *v ^= value;
+                        }
+                        if let Some(v) = reference.get_mut(key) {
+                            *v ^= value;
+                        }
+                    }
+                    _ => assert_eq!(
+                        dense.contains_key(key),
+                        reference.contains_key(key),
+                        "contains_key: {ctx}"
+                    ),
+                }
+                assert_eq!(dense.len(), reference.len(), "len: {ctx}");
+                assert_eq!(dense.is_empty(), reference.is_empty(), "is_empty: {ctx}");
+            }
+            let mut got: Vec<(u64, u64)> = dense.iter().map(|(k, &v)| (k, v)).collect();
+            let mut want: Vec<(u64, u64)> = reference.iter().map(|(k, &v)| (k, v)).collect();
+            let dense_keys: Vec<u64> = got
+                .iter()
+                .map(|&(k, _)| k)
+                .take_while(|&k| dense.dense_index(k).is_some())
+                .collect();
+            assert!(
+                dense_keys.windows(2).all(|w| w[0] < w[1]),
+                "seed {seed}: dense keys iterate in increasing order"
+            );
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(got, want, "seed {seed}: iter");
+        }
+    }
+
+    #[test]
+    fn dense_map_limit_boundary() {
+        // u8 values keep the one vector this test grows to the limit at
+        // a few MB.
+        let mut m: DenseMap64<u8> = DenseMap64::new(0);
+        let last = DENSE_MAP_LIMIT - 1;
+        assert_eq!(m.insert(last, 1), None);
+        assert_eq!(m.slots.len() as u64, DENSE_MAP_LIMIT, "last dense key");
+        assert_eq!(m.insert(DENSE_MAP_LIMIT, 2), None);
+        assert_eq!(m.slots.len() as u64, DENSE_MAP_LIMIT, "first spilled key");
+        assert_eq!(m.spill.len(), 1);
+        assert_eq!((m.get(last), m.get(DENSE_MAP_LIMIT)), (Some(&1), Some(&2)));
+        assert_eq!(
+            m.iter().map(|(k, _)| k).collect::<Vec<_>>(),
+            [last, DENSE_MAP_LIMIT]
+        );
+        assert_eq!(m.remove(last), Some(1));
+        assert_eq!(m.len(), 1);
     }
 }

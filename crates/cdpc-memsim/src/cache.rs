@@ -44,9 +44,10 @@ struct Way {
     /// LRU timestamp; larger = more recent.
     stamp: u64,
     valid: bool,
-    /// Caller-supplied tag carried with the line and returned on eviction.
-    /// The L1s store the physical sub-line here so the memory system needs
-    /// no reverse (virtual → physical) map; the L2s leave it zero.
+    /// Caller-supplied tag carried with the line. The L1s store the
+    /// physical sub-line a virtual line was filled under, which inclusion
+    /// invalidations match ([`Cache::invalidate_tagged`]); the L2s leave
+    /// it zero.
     aux: u64,
 }
 
@@ -80,9 +81,6 @@ pub struct Evicted {
     /// The coherence state the victim held (needed when the line moves to
     /// a victim cache instead of being discarded).
     pub state: Mesi,
-    /// The caller-supplied tag stored with the line at fill time (zero for
-    /// lines filled through [`Cache::fill`]).
-    pub aux: u64,
 }
 
 /// A set-associative, write-back cache holding line *addresses* (the
@@ -163,7 +161,7 @@ impl Cache {
     }
 
     /// [`fill`](Self::fill) with a caller-supplied `aux` tag stored
-    /// alongside the line and handed back in the eviction record.
+    /// alongside the line (see [`invalidate_tagged`](Self::invalidate_tagged)).
     pub fn fill_tagged(&mut self, addr: u64, state: Mesi, aux: u64) -> Option<Evicted> {
         debug_assert!(self.find(addr).is_none(), "fill of resident line {addr:#x}");
         self.clock += 1;
@@ -199,7 +197,6 @@ impl Cache {
                 line_addr,
                 dirty: victim.state == Mesi::Modified,
                 state: victim.state,
-                aux: victim.aux,
             })
         } else {
             None
@@ -229,6 +226,18 @@ impl Cache {
         }
     }
 
+    /// Invalidates the line at `addr` only if it is resident *and* was
+    /// filled with this `aux` tag; returns whether it was invalidated.
+    pub fn invalidate_tagged(&mut self, addr: u64, aux: u64) -> bool {
+        match self.find(addr) {
+            Some(i) if self.ways[i].aux == aux => {
+                self.ways[i].valid = false;
+                true
+            }
+            _ => false,
+        }
+    }
+
     /// Number of valid lines currently resident (O(lines); for tests and
     /// reports).
     pub fn resident_lines(&self) -> usize {
@@ -238,6 +247,16 @@ impl Cache {
     /// Iterates the line addresses of all resident lines with their states
     /// (O(lines); for invariant checking and reports).
     pub fn resident(&self) -> impl Iterator<Item = (u64, Mesi)> + '_ {
+        self.valid_ways().map(|(line, w)| (line, w.state))
+    }
+
+    /// Iterates `(line address, aux tag)` of all resident lines (O(lines);
+    /// for invariant checking).
+    pub fn resident_tagged(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.valid_ways().map(|(line, w)| (line, w.aux))
+    }
+
+    fn valid_ways(&self) -> impl Iterator<Item = (u64, &Way)> + '_ {
         let a = self.cfg.associativity();
         let num_sets = self.cfg.num_sets() as u64;
         let line_bytes = self.cfg.line_bytes() as u64;
@@ -247,7 +266,7 @@ impl Cache {
             .filter(|(_, w)| w.valid)
             .map(move |(i, w)| {
                 let set = (i / a) as u64;
-                ((w.tag * num_sets + set) * line_bytes, w.state)
+                ((w.tag * num_sets + set) * line_bytes, w)
             })
     }
 }
@@ -335,6 +354,21 @@ mod tests {
         assert_eq!(c.peek(0), Lookup::Hit(Mesi::Exclusive));
         let ev = c.fill(512, Mesi::Exclusive).unwrap();
         assert_eq!(ev.line_addr, 0);
+    }
+
+    #[test]
+    fn invalidate_tagged_checks_the_aux_tag() {
+        let mut c = tiny();
+        c.fill_tagged(0x80, Mesi::Exclusive, 0x1080);
+        assert!(!c.invalidate_tagged(0x80, 0x2080), "other tag: kept");
+        assert_eq!(c.peek(0x80), Lookup::Hit(Mesi::Exclusive));
+        assert_eq!(
+            c.resident_tagged().collect::<Vec<_>>(),
+            vec![(0x80, 0x1080)]
+        );
+        assert!(c.invalidate_tagged(0x80, 0x1080));
+        assert_eq!(c.peek(0x80), Lookup::Miss);
+        assert!(!c.invalidate_tagged(0x80, 0x1080), "already gone");
     }
 
     #[test]

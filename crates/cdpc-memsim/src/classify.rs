@@ -108,10 +108,11 @@ pub struct ShadowCache {
 }
 
 impl ShadowCache {
-    /// Creates a shadow cache holding `capacity_lines` lines.
-    pub fn new(capacity_lines: usize) -> Self {
+    /// Creates a shadow cache holding `capacity_lines` lines whose
+    /// addresses are multiples of `1 << line_shift`.
+    pub fn new(capacity_lines: usize, line_shift: u32) -> Self {
         Self {
-            lines: LruSet::new(capacity_lines),
+            lines: LruSet::new(capacity_lines, line_shift),
         }
     }
 
@@ -225,7 +226,7 @@ mod tests {
 
     #[test]
     fn shadow_separates_conflict_from_capacity() {
-        let mut s = ShadowCache::new(2);
+        let mut s = ShadowCache::new(2, 6);
         assert!(!s.reference(0x000)); // cold in shadow
         assert!(!s.reference(0x100));
         assert!(
@@ -293,7 +294,7 @@ mod tests {
 
     #[test]
     fn shadow_invalidate_removes_line() {
-        let mut s = ShadowCache::new(4);
+        let mut s = ShadowCache::new(4, 6);
         s.reference(0x40);
         assert!(s.contains(0x40));
         s.invalidate(0x40);

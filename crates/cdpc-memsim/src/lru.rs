@@ -1,14 +1,28 @@
 //! A fixed-capacity LRU set keyed by `u64`, used by the fully-associative
 //! shadow cache that separates conflict misses from capacity misses.
 //!
-//! Implemented as a slab-allocated doubly-linked list plus a hash map, so
-//! `touch`/`insert`/`remove` are all O(1). The shadow cache for the paper's
-//! 1 MB L2 holds 8192 lines and is touched on every L2 access, so constant
-//! factors matter.
+//! Implemented as a slab-allocated doubly-linked list plus a dense
+//! key → node table ([`DenseMap64`]), so `touch`/`insert`/`remove` are all
+//! O(1) and none of them hashes. The shadow cache for the paper's 1 MB L2
+//! holds 8192 lines and is touched on every L2 access, and the TLB on every
+//! reference, so constant factors matter.
 
-use cdpc_core::fastmap::FxMap64;
+use std::num::NonZeroU32;
+
+use cdpc_core::fastmap::DenseMap64;
 
 const NIL: u32 = u32::MAX;
+
+/// Slab index `idx` as a key-table entry: shifted up by one into
+/// `NonZeroU32` so that a vacant table slot costs no extra bytes.
+fn node_ref(idx: u32) -> NonZeroU32 {
+    NonZeroU32::new(idx + 1).expect("slab index below u32::MAX")
+}
+
+/// Inverse of [`node_ref`].
+fn slab_index(node: NonZeroU32) -> u32 {
+    node.get() - 1
+}
 
 #[derive(Debug, Clone, Copy)]
 struct Node {
@@ -21,7 +35,10 @@ struct Node {
 #[derive(Debug, Clone)]
 pub struct LruSet {
     capacity: usize,
-    map: FxMap64<u32>,
+    /// Key → slab index of its node, plus one: the non-zero niche keeps
+    /// each dense slot at 4 bytes (the table spans every key ever seen —
+    /// for the shadow cache, every physical line the CPU touched).
+    map: DenseMap64<NonZeroU32>,
     nodes: Vec<Node>,
     free: Vec<u32>,
     head: u32, // most recently used
@@ -42,14 +59,23 @@ pub enum LruInsert {
 impl LruSet {
     /// Creates an empty set that holds at most `capacity` keys.
     ///
+    /// Keys are expected to be multiples of `1 << shift` (line addresses
+    /// with the line shift, page numbers with 0): those index the key
+    /// table directly. Any other key still works, through the table's
+    /// hashed spill.
+    ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "LRU capacity must be positive");
+    /// Panics if `capacity` is zero or not below `u32::MAX`, or if `shift`
+    /// is 64 or more.
+    pub fn new(capacity: usize, shift: u32) -> Self {
+        assert!(
+            capacity > 0 && capacity < u32::MAX as usize,
+            "LRU capacity must be positive and below u32::MAX"
+        );
         Self {
             capacity,
-            map: FxMap64::with_capacity(capacity.min(1 << 20)),
+            map: DenseMap64::new(shift),
             nodes: Vec::with_capacity(capacity.min(1 << 20)),
             free: Vec::new(),
             head: NIL,
@@ -81,7 +107,8 @@ impl LruSet {
     /// Returns `true` on hit.
     pub fn touch(&mut self, key: u64) -> bool {
         match self.map.get(key) {
-            Some(&idx) => {
+            Some(&node) => {
+                let idx = slab_index(node);
                 self.unlink(idx);
                 self.push_front(idx);
                 true
@@ -119,7 +146,7 @@ impl LruSet {
                 (self.nodes.len() - 1) as u32
             }
         };
-        self.map.insert(key, idx);
+        self.map.insert(key, node_ref(idx));
         self.push_front(idx);
         match evicted {
             Some(k) => LruInsert::Evicted(k),
@@ -130,7 +157,8 @@ impl LruSet {
     /// Removes `key`, returning `true` if it was resident.
     pub fn remove(&mut self, key: u64) -> bool {
         match self.map.remove(key) {
-            Some(idx) => {
+            Some(node) => {
+                let idx = slab_index(node);
                 self.unlink(idx);
                 self.free.push(idx);
                 true
@@ -202,7 +230,7 @@ mod tests {
 
     #[test]
     fn insert_and_hit() {
-        let mut l = LruSet::new(2);
+        let mut l = LruSet::new(2, 0);
         assert_eq!(l.insert(1), LruInsert::Inserted);
         assert_eq!(l.insert(2), LruInsert::Inserted);
         assert_eq!(l.insert(1), LruInsert::Hit);
@@ -211,7 +239,7 @@ mod tests {
 
     #[test]
     fn eviction_removes_least_recent() {
-        let mut l = LruSet::new(2);
+        let mut l = LruSet::new(2, 0);
         l.insert(1);
         l.insert(2);
         l.touch(1); // 2 becomes LRU
@@ -223,7 +251,7 @@ mod tests {
 
     #[test]
     fn iteration_is_mru_to_lru() {
-        let mut l = LruSet::new(3);
+        let mut l = LruSet::new(3, 0);
         l.insert(1);
         l.insert(2);
         l.insert(3);
@@ -234,7 +262,7 @@ mod tests {
 
     #[test]
     fn remove_frees_capacity() {
-        let mut l = LruSet::new(2);
+        let mut l = LruSet::new(2, 0);
         l.insert(1);
         l.insert(2);
         assert!(l.remove(1));
@@ -245,7 +273,7 @@ mod tests {
 
     #[test]
     fn slots_are_reused_after_removal() {
-        let mut l = LruSet::new(2);
+        let mut l = LruSet::new(2, 0);
         for round in 0..100u64 {
             l.insert(round);
         }
@@ -256,7 +284,7 @@ mod tests {
 
     #[test]
     fn capacity_one_behaves() {
-        let mut l = LruSet::new(1);
+        let mut l = LruSet::new(1, 0);
         assert_eq!(l.insert(5), LruInsert::Inserted);
         assert_eq!(l.insert(6), LruInsert::Evicted(5));
         assert_eq!(l.insert(6), LruInsert::Hit);
@@ -266,25 +294,56 @@ mod tests {
 
     #[test]
     fn mirrors_a_naive_model() {
-        // Randomized differential test against a Vec-based LRU.
-        let mut fast = LruSet::new(8);
-        let mut slow: Vec<u64> = Vec::new(); // front = MRU
-        let mut state = 0x9E3779B97F4A7C15u64;
-        for _ in 0..5000 {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let key = state % 24;
-            let hit_fast = matches!(fast.insert(key), LruInsert::Hit);
-            let hit_slow = slow.iter().position(|&k| k == key).map(|i| {
-                slow.remove(i);
-            });
-            slow.insert(0, key);
-            if slow.len() > 8 {
-                slow.pop();
+        // Seed loops over insert/touch/remove/contains against a Vec LRU
+        // (front = MRU), with dense, unaligned and hog-style keys so both
+        // halves of the key table are exercised.
+        for seed in 0..100u64 {
+            let mut rng = cdpc_obs::SplitMix64::new(seed);
+            let capacity = 1 + rng.index(12);
+            let shift = [0, 7][seed as usize % 2];
+            let mut fast = LruSet::new(capacity, shift);
+            let mut slow: Vec<u64> = Vec::new();
+            for step in 0..500 {
+                let key = match rng.below(4) {
+                    0 | 1 => rng.below(24) << shift,
+                    2 => (rng.below(24) << shift) | 1,
+                    _ => u64::MAX / 2 + rng.below(4),
+                };
+                let ctx = format!("seed {seed} step {step} key {key:#x}");
+                let pos = slow.iter().position(|&k| k == key);
+                match rng.below(4) {
+                    0 | 1 => {
+                        let want = match pos {
+                            Some(i) => {
+                                slow.remove(i);
+                                LruInsert::Hit
+                            }
+                            None if slow.len() == capacity => {
+                                LruInsert::Evicted(slow.pop().expect("full"))
+                            }
+                            None => LruInsert::Inserted,
+                        };
+                        slow.insert(0, key);
+                        assert_eq!(fast.insert(key), want, "insert: {ctx}");
+                    }
+                    2 => {
+                        if let Some(i) = pos {
+                            slow.remove(i);
+                            slow.insert(0, key);
+                        }
+                        assert_eq!(fast.touch(key), pos.is_some(), "touch: {ctx}");
+                    }
+                    _ => {
+                        if let Some(i) = pos {
+                            slow.remove(i);
+                        }
+                        assert_eq!(fast.remove(key), pos.is_some(), "remove: {ctx}");
+                    }
+                }
+                assert_eq!(fast.contains(key), slow.contains(&key), "contains: {ctx}");
+                assert_eq!(fast.len(), slow.len(), "len: {ctx}");
+                assert_eq!(fast.iter().collect::<Vec<_>>(), slow, "order: {ctx}");
             }
-            assert_eq!(hit_fast, hit_slow.is_some(), "hit mismatch for {key}");
-            assert_eq!(fast.iter().collect::<Vec<_>>(), slow, "order mismatch");
         }
     }
 }

@@ -15,13 +15,21 @@
 //!   L1→L2 victim traffic (on-chip and free in the paper's machine) while
 //!   keeping the bus-visible coherence behaviour exact.
 //! * Inclusion is enforced: evicting or invalidating an L2 line invalidates
-//!   the corresponding L1 sub-lines.
+//!   the corresponding L1 sub-lines. Virtual and physical addresses share
+//!   the page offset, so the sub-lines' virtual addresses follow from one
+//!   system-wide physical → virtual page table (`rev_pages`) written on
+//!   every L1 fill; each L1 way carries the physical sub-line it was filled
+//!   under (its `aux` tag), and only a way whose tag matches is
+//!   invalidated.
+//! * Per-line and per-page tables on the reference path (directory, shadow
+//!   cache and TLB key tables, `rev_pages`) are dense vectors indexed by
+//!   line or page number ([`DenseMap64`]), not hash maps.
 //! * A miss's latency is `service latency + bus queueing delay`; the data
 //!   transfer occupancy overlaps the service latency but serializes the bus
 //!   for later requesters, which is how contention appears (as in the
 //!   paper, where bus saturation more than doubles tomcatv's MCPI).
 
-use cdpc_core::fastmap::{DenseSet64, FxMap64, FxSet64};
+use cdpc_core::fastmap::{DenseMap64, DenseSet64, FxMap64, FxSet64};
 use cdpc_obs::{LineState, NullProbe, PrefetchDropReason, Probe};
 use cdpc_vm::addr::{PhysAddr, VirtAddr, Vpn};
 use cdpc_vm::RegionMap;
@@ -93,8 +101,21 @@ pub struct PrefetchOutcome {
 struct DirEntry {
     /// Bitmask of CPUs holding the line.
     sharers: u32,
-    /// CPU holding the line in `Modified` state, if any.
-    dirty_owner: Option<CpuId>,
+    /// CPU holding the line in `Modified` state, if any. Stored as a `u8`
+    /// (at most 32 CPUs) so an entry is 8 bytes: the directory is a dense
+    /// table over the physical lines.
+    owner: Option<u8>,
+}
+
+impl DirEntry {
+    /// The CPU holding the line in `Modified` state, if any.
+    fn dirty_owner(&self) -> Option<CpuId> {
+        self.owner.map(CpuId::from)
+    }
+
+    fn set_dirty_owner(&mut self, cpu: Option<CpuId>) {
+        self.owner = cpu.map(|c| c as u8);
+    }
 }
 
 #[derive(Debug)]
@@ -110,10 +131,6 @@ struct CpuMem {
     /// one probe per L2 miss must not become a DRAM miss into a
     /// multi-megabyte table.
     seen_lines: DenseSet64,
-    /// pa L1-line → va L1-line, for inclusion invalidations. The reverse
-    /// direction rides along in each L1 way's `aux` tag, so no second map
-    /// is needed on the fill path.
-    l1_map: FxMap64<u64>,
     /// pa L2-line → (completion cycle, fill state) of in-flight prefetches.
     inflight: FxMap64<(u64, Mesi)>,
     /// Prefetch-filled lines not yet referenced by a demand access (for
@@ -140,7 +157,13 @@ pub struct MemorySystem<P: Probe = NullProbe> {
     cpus: Vec<CpuMem>,
     bus: Bus,
     sharing: SharingTracker,
-    directory: FxMap64<DirEntry>,
+    /// Coherence directory, keyed by L2 line address.
+    directory: DenseMap64<DirEntry>,
+    /// Physical page number → the virtual page number of the latest L1
+    /// fill from that frame, shared by all CPUs (the address space is).
+    /// Inclusion invalidations derive L1 sub-line addresses from it; the
+    /// L1 ways' `aux` tags guard against a stale entry.
+    rev_pages: DenseMap64<u64>,
     probe: P,
     /// Virtual-range → array-id tags for miss attribution. Empty (the
     /// default) disables [`Probe::on_classified_miss`] emission entirely,
@@ -181,22 +204,22 @@ impl<P: Probe> MemorySystem<P> {
             cfg.num_cpus >= 1 && cfg.num_cpus <= 32,
             "1..=32 CPUs supported"
         );
+        let line_shift = cfg.l2.line_shift();
         let cpus = (0..cfg.num_cpus)
             .map(|_| CpuMem {
                 l1d: Cache::new(cfg.l1d),
                 l1i: Cache::new(cfg.l1i),
                 l2: Cache::new(cfg.l2),
                 tlb: Tlb::new(cfg.tlb_entries),
-                shadow: ShadowCache::new(cfg.l2.num_lines()),
+                shadow: ShadowCache::new(cfg.l2.num_lines(), line_shift),
                 seen_lines: DenseSet64::new(),
-                l1_map: FxMap64::new(),
                 inflight: FxMap64::new(),
                 pf_filled: FxSet64::new(),
                 pf_done: Vec::new(),
                 slots: PrefetchSlots::new(cfg.max_outstanding_prefetches),
                 stats: CpuStats::default(),
                 victim: (cfg.victim_cache_lines > 0)
-                    .then(|| VictimCache::new(cfg.victim_cache_lines)),
+                    .then(|| VictimCache::new(cfg.victim_cache_lines, line_shift)),
             })
             .collect();
         // `ColorSpace` semantics (l2 / (page × assoc)), but degenerate
@@ -209,7 +232,8 @@ impl<P: Probe> MemorySystem<P> {
             cpus,
             bus: Bus::new(),
             sharing: SharingTracker::new(),
-            directory: FxMap64::new(),
+            directory: DenseMap64::new(line_shift),
+            rev_pages: DenseMap64::new(0),
             probe,
             regions: RegionMap::default(),
             num_colors,
@@ -282,16 +306,23 @@ impl<P: Probe> MemorySystem<P> {
         ((pa & (self.cfg.l2.line_bytes() as u64 - 1)) >> self.cfg.l1d.line_shift()) as u32
     }
 
-    /// The virtual page number of `va`. Pages are practically always a
-    /// power of two, turning the division into a shift on the hot path.
+    /// The page number of address `addr` (virtual or physical). Pages are
+    /// practically always a power of two, turning the division into a
+    /// shift on the hot path.
     #[inline]
-    fn vpn_of(&self, va: u64) -> Vpn {
+    fn page_of(&self, addr: u64) -> u64 {
         let page = self.cfg.page_size as u64;
         if page.is_power_of_two() {
-            Vpn(va >> page.trailing_zeros())
+            addr >> page.trailing_zeros()
         } else {
-            Vpn(va / page)
+            addr / page
         }
+    }
+
+    /// The virtual page number of `va`.
+    #[inline]
+    fn vpn_of(&self, va: u64) -> Vpn {
+        Vpn(self.page_of(va))
     }
 
     /// Performs one demand reference by `cpu` at local time `now`.
@@ -621,13 +652,24 @@ impl<P: Probe> MemorySystem<P> {
     ///    sharer;
     /// 3. when two or more CPUs share a line, every copy is `Shared`;
     /// 4. every directory sharer bit corresponds to a resident or
-    ///    in-flight-prefetch line.
+    ///    in-flight-prefetch line;
+    /// 5. inclusion: every valid L1 way's `aux` tag (the physical sub-line
+    ///    it was filled under) lies in a line resident in that CPU's L2 —
+    ///    the invariant that lets inclusion invalidations find L1 lines
+    ///    through `rev_pages` instead of a per-CPU reverse map.
     ///
     /// # Panics
     ///
     /// Panics when any invariant is violated.
     pub fn validate_coherence(&self) {
         for (cpu, c) in self.cpus.iter().enumerate() {
+            for (va_line, pa_sub) in c.l1d.resident_tagged().chain(c.l1i.resident_tagged()) {
+                let line = self.cfg.l2.line_of(pa_sub);
+                assert!(
+                    matches!(c.l2.peek(line), Lookup::Hit(_)),
+                    "cpu{cpu} L1 holds va {va_line:#x} (pa {pa_sub:#x}) but its L2 lacks {line:#x}"
+                );
+            }
             let vc_lines = c.victim.as_ref().into_iter().flat_map(|v| v.iter());
             for (line, state) in c.l2.resident().chain(vc_lines) {
                 let entry = self.directory.get(line).unwrap_or_else(|| {
@@ -640,10 +682,10 @@ impl<P: Probe> MemorySystem<P> {
                 match state {
                     Mesi::Modified => {
                         assert_eq!(
-                            entry.dirty_owner,
+                            entry.dirty_owner(),
                             Some(cpu),
                             "modified {line:#x} in cpu{cpu} but directory owner is {:?}",
-                            entry.dirty_owner
+                            entry.dirty_owner()
                         );
                         assert_eq!(
                             entry.sharers,
@@ -662,7 +704,7 @@ impl<P: Probe> MemorySystem<P> {
                     }
                     Mesi::Shared => {
                         assert_ne!(
-                            entry.dirty_owner,
+                            entry.dirty_owner(),
                             Some(cpu),
                             "shared {line:#x} cannot be the dirty owner"
                         );
@@ -738,7 +780,7 @@ impl<P: Probe> MemorySystem<P> {
                 .directory
                 .entry_or_insert_with(pa_l2_line, DirEntry::default);
             entry.sharers = 1 << cpu;
-            entry.dirty_owner = Some(cpu);
+            entry.set_dirty_owner(Some(cpu));
             self.probe
                 .on_line_state(cpu, pa_l2_line, LineState::Modified);
         } else if state == Mesi::Exclusive {
@@ -746,7 +788,7 @@ impl<P: Probe> MemorySystem<P> {
             let entry = self
                 .directory
                 .entry_or_insert_with(pa_l2_line, DirEntry::default);
-            entry.dirty_owner = Some(cpu);
+            entry.set_dirty_owner(Some(cpu));
             self.probe
                 .on_line_state(cpu, pa_l2_line, LineState::Modified);
         }
@@ -782,15 +824,25 @@ impl<P: Probe> MemorySystem<P> {
         self.invalidate_l1_sublines(cpu, pa_l2_line);
     }
 
+    /// Inclusion: invalidates the L1 sub-lines of an L2 line leaving
+    /// `cpu`'s L2. Their virtual addresses share the page offset with the
+    /// physical ones and sit in the page `rev_pages` last saw filled from
+    /// this frame; a way is dropped only if it was filled under this very
+    /// physical sub-line.
     fn invalidate_l1_sublines(&mut self, cpu: CpuId, pa_l2_line: u64) {
+        let ppn = self.page_of(pa_l2_line);
+        let Some(&vpn) = self.rev_pages.get(ppn) else {
+            return;
+        };
+        let page = self.cfg.page_size as u64;
+        let va_l2_line = vpn * page + (pa_l2_line - ppn * page);
         let l1_line = self.cfg.l1d.line_bytes() as u64;
         let n = self.cfg.l2.line_bytes() as u64 / l1_line;
+        let c = &mut self.cpus[cpu];
         for k in 0..n {
-            let pa_sub = pa_l2_line + k * l1_line;
-            if let Some(va_sub) = self.cpus[cpu].l1_map.remove(pa_sub) {
-                self.cpus[cpu].l1d.invalidate(va_sub);
-                self.cpus[cpu].l1i.invalidate(va_sub);
-            }
+            let (va_sub, pa_sub) = (va_l2_line + k * l1_line, pa_l2_line + k * l1_line);
+            c.l1d.invalidate_tagged(va_sub, pa_sub);
+            c.l1i.invalidate_tagged(va_sub, pa_sub);
         }
     }
 
@@ -809,7 +861,7 @@ impl<P: Probe> MemorySystem<P> {
         let occ = self
             .cfg
             .bus_occupancy_cycles(self.cfg.l2.line_bytes() as u64);
-        let (base, source) = match entry.dirty_owner {
+        let (base, source) = match entry.dirty_owner() {
             Some(owner) if owner != cpu => {
                 // Cache-to-cache transfer.
                 if for_write {
@@ -862,15 +914,15 @@ impl<P: Probe> MemorySystem<P> {
             .entry_or_insert_with(pa_l2_line, DirEntry::default);
         let fill_state = if for_write {
             entry.sharers = 1 << cpu;
-            entry.dirty_owner = Some(cpu);
+            entry.set_dirty_owner(Some(cpu));
             Mesi::Modified
-        } else if entry.sharers & !(1u32 << cpu) != 0 || entry.dirty_owner.is_some() {
+        } else if entry.sharers & !(1u32 << cpu) != 0 || entry.dirty_owner().is_some() {
             entry.sharers |= 1 << cpu;
-            entry.dirty_owner = None;
+            entry.set_dirty_owner(None);
             Mesi::Shared
         } else {
             entry.sharers |= 1 << cpu;
-            entry.dirty_owner = None;
+            entry.set_dirty_owner(None);
             Mesi::Exclusive
         };
         (latency, source, fill_state)
@@ -919,8 +971,8 @@ impl<P: Probe> MemorySystem<P> {
         }
         if let Some(entry) = self.directory.get_mut(line) {
             entry.sharers &= !(1u32 << cpu);
-            if entry.dirty_owner == Some(cpu) {
-                entry.dirty_owner = None;
+            if entry.dirty_owner() == Some(cpu) {
+                entry.set_dirty_owner(None);
             }
             if entry.sharers == 0 {
                 self.directory.remove(line);
@@ -930,17 +982,20 @@ impl<P: Probe> MemorySystem<P> {
 
     fn fill_l1(&mut self, cpu: CpuId, va_line: u64, pa: u64, is_ifetch: bool) {
         let pa_sub = self.cfg.l1d.line_of(pa);
+        debug_assert_eq!(
+            va_line % self.cfg.page_size as u64,
+            pa_sub % self.cfg.page_size as u64,
+            "virtual and physical addresses must share the page offset"
+        );
+        let (vpn, ppn) = (self.page_of(va_line), self.page_of(pa_sub));
         let c = &mut self.cpus[cpu];
         let l1 = if is_ifetch { &mut c.l1i } else { &mut c.l1d };
         if matches!(l1.peek(va_line), Lookup::Hit(_)) {
             return;
         }
-        if let Some(evicted) = l1.fill_tagged(va_line, Mesi::Exclusive, pa_sub) {
-            // The way's aux tag is the pa the victim was filled under, so
-            // the stale forward mapping dies without a reverse lookup.
-            c.l1_map.remove(evicted.aux);
-        }
-        c.l1_map.insert(pa_sub, va_line);
+        // The L1 victim needs no bookkeeping: nothing maps to it.
+        l1.fill_tagged(va_line, Mesi::Exclusive, pa_sub);
+        self.rev_pages.insert(ppn, vpn);
     }
 
     /// Applies all prefetch fills whose completion time has passed.
@@ -976,7 +1031,7 @@ impl<P: Probe> MemorySystem<P> {
                     self.probe.on_line_state(cpu, line, LineState::Invalid);
                     continue;
                 }
-                Some(e) if e.dirty_owner == Some(cpu) => Mesi::Modified,
+                Some(e) if e.dirty_owner() == Some(cpu) => Mesi::Modified,
                 Some(e) if e.sharers == 1 << cpu => match recorded {
                     // Sole sharer but no longer dirty owner: ownership was
                     // stripped while in flight; the copy arrives clean.
@@ -1439,7 +1494,10 @@ mod tests {
         // Corrupt the directory: drop the dirty owner while the L2 copy
         // stays Modified.
         let line = m.cfg.l2.line_of(0x1000);
-        m.directory.get_mut(line).expect("entry exists").dirty_owner = None;
+        m.directory
+            .get_mut(line)
+            .expect("entry exists")
+            .set_dirty_owner(None);
         m.validate_coherence();
     }
 
@@ -1514,5 +1572,92 @@ mod tests {
         m.flush_physical_page(20_000, pa(0x1000));
         assert_eq!(m.probe().flushes, 1);
         assert!(m.probe().events.contains(&(0, line, S::Invalid)));
+    }
+
+    #[test]
+    fn directory_entries_stay_eight_bytes() {
+        // The directory is a dense table over every physical line; its
+        // per-line cost is the slot size.
+        assert_eq!(std::mem::size_of::<Option<DirEntry>>(), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "but its L2 lacks")]
+    fn validate_coherence_catches_a_broken_inclusion_tag() {
+        let mut m = MemorySystem::new(small_cfg(1));
+        m.access(0, 0, va(0x1000), pa(0x1000), AccessKind::Read);
+        m.validate_coherence();
+        // Corrupt the inclusion tag: an L1 way claiming a physical
+        // sub-line whose L2 line this CPU does not hold.
+        m.cpus[0].l1d.fill_tagged(0x2000, Mesi::Exclusive, 0x9000);
+        m.validate_coherence();
+    }
+
+    #[test]
+    fn recolored_frame_reuse_leaves_no_stale_l1_or_victim_lines() {
+        // The recolor path: virtual page 1 moves from frame 5 to frame 7,
+        // and frame 5 is then reused for virtual page 3. Inclusion
+        // invalidations find L1 lines through the frame's latest virtual
+        // page, so both the flush and later invalidations of the reused
+        // frame must reach exactly the right L1 lines.
+        let mut cfg = small_cfg(2);
+        cfg.victim_cache_lines = 4;
+        let mut m = MemorySystem::new(cfg);
+        let l1_hit = |m: &mut MemorySystem, cpu, t, v: u64, p: u64| {
+            let out = m.access(cpu, t, va(v), pa(p), AccessKind::Read);
+            out.serviced_by == ServicedBy::L1
+        };
+        // Page 1 → frame 5 on both CPUs, one line dirty.
+        m.access(0, 0, va(0x1000), pa(0x5000), AccessKind::Write);
+        m.access(0, 100, va(0x1100), pa(0x5100), AccessKind::Read);
+        m.access(1, 200, va(0x1080), pa(0x5080), AccessKind::Read);
+        // Frame 6's line 0x6100 shares the 1 KB direct-mapped L2 set of
+        // 0x5100, pushing 0x5100 into CPU0's victim buffer.
+        m.access(0, 300, va(0x2100), pa(0x6100), AccessKind::Read);
+        assert!(m.cpus[0].victim.as_ref().expect("on").contains(0x5100));
+        assert!(
+            l1_hit(&mut m, 0, 400, 0x1000, 0x5000),
+            "warm before recolor"
+        );
+        m.validate_coherence();
+
+        // Recolor page 1: flush frame 5 everywhere, shoot down the TLB.
+        m.flush_physical_page(1_000, pa(0x5000));
+        m.shoot_down_tlb(Vpn(1));
+        m.validate_coherence();
+        let vc = m.cpus[0].victim.as_ref().expect("on");
+        assert!(!vc.contains(0x5100), "flush must empty the victim copy");
+        // Page 1 now lives in frame 7: none of its old L1 lines may hit.
+        for (cpu, off) in [(0, 0x000), (0, 0x100), (1, 0x080)] {
+            assert!(
+                !l1_hit(&mut m, cpu, 2_000, 0x1000 + off, 0x7000 + off),
+                "cpu{cpu} hit a stale L1 line at offset {off:#x}"
+            );
+        }
+
+        // Frame 5 reused for page 3.
+        m.access(0, 3_000, va(0x3000), pa(0x5000), AccessKind::Read);
+        m.access(0, 3_100, va(0x3100), pa(0x5100), AccessKind::Read);
+        let out = m.access(0, 3_200, va(0x3100), pa(0x5100), AccessKind::Read);
+        assert_eq!(out.serviced_by, ServicedBy::L1);
+        m.validate_coherence();
+        // A write by CPU1 invalidates CPU0's copy of frame 5's first line:
+        // the L1 line of page 3 (not page 1) must go with it.
+        m.access(1, 4_000, va(0x3000), pa(0x5000), AccessKind::Write);
+        m.validate_coherence();
+        let out = m.access(0, 5_000, va(0x3000), pa(0x5000), AccessKind::Read);
+        assert_ne!(
+            out.serviced_by,
+            ServicedBy::L1,
+            "stale L1 line after invalidation"
+        );
+        assert_eq!(out.miss_class, Some(MissClass::TrueSharing));
+        // Conflicting frame 5's line 0x5100 out again parks it in the
+        // victim buffer under its new owner page; swapping it back works
+        // and keeps the hierarchy coherent.
+        m.access(0, 6_000, va(0x2100), pa(0x6100), AccessKind::Read);
+        let out = m.access(0, 7_000, va(0x3100), pa(0x5100), AccessKind::Read);
+        assert_eq!(out.serviced_by, ServicedBy::VictimCache);
+        m.validate_coherence();
     }
 }

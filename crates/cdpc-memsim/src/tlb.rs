@@ -25,7 +25,7 @@ impl Tlb {
     /// Panics if `entries` is zero.
     pub fn new(entries: usize) -> Self {
         Self {
-            entries: LruSet::new(entries),
+            entries: LruSet::new(entries, 0),
             hits: 0,
             misses: 0,
         }

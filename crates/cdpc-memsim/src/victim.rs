@@ -34,14 +34,15 @@ pub struct VictimEvicted {
 }
 
 impl VictimCache {
-    /// Creates a victim cache holding `lines` entries.
+    /// Creates a victim cache holding `lines` entries, for line addresses
+    /// that are multiples of `1 << line_shift`.
     ///
     /// # Panics
     ///
     /// Panics if `lines` is zero (disable by not constructing one).
-    pub fn new(lines: usize) -> Self {
+    pub fn new(lines: usize, line_shift: u32) -> Self {
         Self {
-            lru: LruSet::new(lines),
+            lru: LruSet::new(lines, line_shift),
             states: FxMap64::with_capacity(lines),
             hits: 0,
             insertions: 0,
@@ -134,7 +135,7 @@ mod tests {
 
     #[test]
     fn insert_take_roundtrip() {
-        let mut vc = VictimCache::new(2);
+        let mut vc = VictimCache::new(2, 8);
         assert!(vc.insert(0x100, Mesi::Modified).is_none());
         assert!(vc.contains(0x100));
         assert_eq!(vc.take(0x100), Some(Mesi::Modified));
@@ -144,7 +145,7 @@ mod tests {
 
     #[test]
     fn capacity_evicts_lru_with_dirtiness() {
-        let mut vc = VictimCache::new(2);
+        let mut vc = VictimCache::new(2, 8);
         vc.insert(0x100, Mesi::Modified);
         vc.insert(0x200, Mesi::Exclusive);
         let out = vc.insert(0x300, Mesi::Shared).expect("full buffer evicts");
@@ -155,7 +156,7 @@ mod tests {
 
     #[test]
     fn invalidate_does_not_count_as_hit() {
-        let mut vc = VictimCache::new(2);
+        let mut vc = VictimCache::new(2, 8);
         vc.insert(0x100, Mesi::Shared);
         assert_eq!(vc.invalidate(0x100), Some(Mesi::Shared));
         assert_eq!(vc.hits(), 0);
@@ -164,7 +165,7 @@ mod tests {
 
     #[test]
     fn reinsertion_refreshes_state() {
-        let mut vc = VictimCache::new(2);
+        let mut vc = VictimCache::new(2, 8);
         vc.insert(0x100, Mesi::Exclusive);
         vc.insert(0x100, Mesi::Modified);
         assert_eq!(vc.len(), 1);
