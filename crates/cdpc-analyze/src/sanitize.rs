@@ -16,8 +16,8 @@
 //! * a `Shared` fill never coexists with an owned copy
 //!   (`sanitize/shared-with-owner`);
 //! * a page flush leaves no shadow copy behind (`sanitize/stale-flush`);
-//! * no fill lands on a flushed page before a page fault remaps it
-//!   (`sanitize/flushed-page-access`);
+//! * no fill lands on a flushed page before a page fault or a later
+//!   recoloring can have remapped it (`sanitize/flushed-page-access`);
 //! * a prefetch is never issued for a line the CPU already has in flight
 //!   (`sanitize/duplicate-prefetch`).
 //!
@@ -60,6 +60,8 @@ pub struct SanitizerProbe {
     inflight: FxSet64,
     /// Physical page bases flushed and not yet remapped.
     flushed: FxSet64,
+    /// The page base of the latest flush.
+    last_flush: Option<u64>,
     /// Page size learned from the first flush event (0 = none seen).
     page_bytes: u64,
     fail_fast: bool,
@@ -84,6 +86,7 @@ impl SanitizerProbe {
             shadow: FxMap64::new(),
             inflight: FxSet64::new(),
             flushed: FxSet64::new(),
+            last_flush: None,
             page_bytes: 0,
             fail_fast: true,
             violations: Vec::new(),
@@ -270,6 +273,20 @@ impl Probe for SanitizerProbe {
             line += 16;
         }
         self.flushed.insert(page_base);
+        self.last_flush = Some(page_base);
+        self.tick();
+    }
+
+    fn on_recolor(&mut self, _cpu: usize, _cycle: u64, _vpn: u64, _from: u32, _to: u32) {
+        // A recoloring allocates the page's new frame — possibly one an
+        // earlier recoloring flushed and freed — and then flushes the old
+        // frame (the flush reported just before this event). As with a
+        // fault, forget the earlier flushed pages; the old frame stays
+        // unmapped, so it stays flagged.
+        self.flushed.clear();
+        if let Some(old_frame) = self.last_flush {
+            self.flushed.insert(old_frame);
+        }
         self.tick();
     }
 
@@ -390,6 +407,19 @@ mod tests {
         s.on_page_fault(1, 0, 7, 3, cdpc_obs::HintOutcome::Honored);
         s.on_line_state(1, 0x1080, LineState::Exclusive);
         assert!(s.is_clean());
+
+        // A recoloring may hand out a frame an earlier recoloring freed:
+        // page 0x1000 (flushed by the first) is legitimate after the
+        // second, but the second's own old frame 0x3000 is not.
+        let mut s = SanitizerProbe::lenient(2);
+        s.on_page_flush(0x1000, 0x1000);
+        s.on_recolor(0, 0, 1, 0, 2);
+        s.on_page_flush(0x3000, 0x1000);
+        s.on_recolor(0, 10, 2, 1, 0);
+        s.on_line_state(1, 0x1080, LineState::Exclusive);
+        assert!(s.is_clean());
+        s.on_line_state(1, 0x3080, LineState::Exclusive);
+        assert_eq!(s.violations()[0].rule, RULE_FLUSHED_ACCESS);
     }
 
     #[test]
